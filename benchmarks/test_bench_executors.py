@@ -3,16 +3,18 @@
 The process executor exists for workloads the thread pool cannot scale —
 the structural backend's per-sample Python loop holds the GIL, and remote
 workers are processes by definition — but it pays real overhead per batch:
-requests and responses cross the process boundary as JSON, and each worker
-owns (and compiled) its own chip.  This benchmark records both executors at
+shard arrays cross the process boundary through a shared-memory segment
+(with the scalar remainder as compact JSON over the pool's pipe), and each
+worker owns (and compiled) its own chip.  This benchmark records both executors at
 ``jobs=4`` on a batch of 256 so the BENCH trends catch regressions, and
 asserts the process executor stays within sane bounds of the thread
 executor on multi-core machines (it must not collapse to pathological
 serialisation costs) while remaining result-identical.
 
 Numbers observed on a 4-core dev box (vectorized backend, batch 256,
-timesteps 8): thread ~0.09 s, process ~0.16 s — the JSON hop costs roughly
-2x, which multi-host sharding then wins back by adding machines.
+timesteps 8), measured when shards still crossed as whole-request JSON:
+thread ~0.09 s, process ~0.16 s — the process hop cost roughly 2x, which
+multi-host sharding then wins back by adding machines.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def test_bench_thread_executor(benchmark, executor_workload):
 
 
 def test_bench_process_executor(benchmark, executor_workload):
-    """Timing reference: jobs=4 process workers, shards shipped as JSON."""
+    """Timing reference: jobs=4 process workers, shards shipped through shared memory."""
     snn, config, inputs = executor_workload
     request = InferenceRequest(inputs=inputs)
     with ChipPool(

@@ -5,11 +5,11 @@ verifying at each rung that the answer never changes:
 
 1. a single :class:`repro.serve.ChipSession` (the reference),
 2. a :class:`repro.serve.ChipPool` on the ``process`` executor — one
-   programmed chip per worker process, shards shipped through the JSON
-   schema,
+   programmed chip per worker process, shard arrays shipped through shared
+   memory,
 3. a socket :class:`~repro.serve.distributed.ChipServer` on localhost with a
-   :class:`~repro.serve.distributed.RemoteSession` client — the same JSON,
-   now over TCP,
+   :class:`~repro.serve.distributed.RemoteSession` client — the same
+   request and response as protocol-3 binary frames over TCP,
 4. an :class:`~repro.serve.distributed.InferenceGateway` fanning one batch
    across the remote server *and* a local pool with capacity-weighted
    sharding.

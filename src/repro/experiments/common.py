@@ -362,9 +362,9 @@ class WorkloadContext:
         gateway: InferenceGateway | None = None
         try:
             for part in endpoints:
-                # The deadline bounds establishment too: wire negotiation
-                # reads a handshake reply, and a wedged server (accepts,
-                # never answers) must fail the run within the deadline.
+                # The deadline bounds establishment and the info round trip
+                # too: a wedged server (accepts, never answers) must fail
+                # the run within the deadline.
                 remote = PipelinedSession.connect(part, timeout=deadline_s)
                 remotes.append(remote)
                 served = str(

@@ -6,11 +6,11 @@ identical to a single local :class:`~repro.serve.ChipSession`:
 
 * **executors** (:mod:`~repro.serve.distributed.executors`) — pluggable
   shard execution for :class:`~repro.serve.ChipPool`: ``inline``, ``thread``
-  or ``process`` (one programmed chip per ``multiprocessing`` worker, shards
-  shipped through the JSON schema).
+  or ``process`` (one programmed chip per ``multiprocessing`` worker, shard
+  arrays shipped through shared memory).
 * **server/client** (:mod:`~repro.serve.distributed.server` /
   :mod:`~repro.serve.distributed.client`) — an :mod:`asyncio` chip daemon
-  answering newline-delimited JSON with pipelined request ids and
+  answering protocol-3 binary frames with pipelined request ids and
   cross-client dynamic batching, :class:`RemoteSession`, which gives a chip
   on another host the ``ChipSession`` surface (with reconnect-and-retry
   across server restarts), and :class:`PipelinedSession`, which keeps many
@@ -50,7 +50,6 @@ from repro.serve.distributed.executors import (
     EXECUTORS,
     InlineExecutor,
     ProcessExecutor,
-    ProcessJsonExecutor,
     SessionSpec,
     ShardExecutor,
     ThreadExecutor,
@@ -75,7 +74,6 @@ __all__ = [
     "InlineExecutor",
     "PipelinedSession",
     "ProcessExecutor",
-    "ProcessJsonExecutor",
     "RemoteServerError",
     "RemoteSession",
     "ServeRejection",

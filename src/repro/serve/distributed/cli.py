@@ -3,9 +3,8 @@
 Three subcommands, all runnable as ``python -m repro.serve.distributed``:
 
 * ``serve`` — load a registered MLP benchmark, open a :class:`ChipPool` on
-  it and serve inference on a TCP port (JSON lines or binary frames,
-  negotiated per connection) until interrupted (or a client sends the
-  ``shutdown`` op)::
+  it and serve inference on a TCP port (protocol-3 binary frames) until
+  interrupted (or a client sends the ``shutdown`` op)::
 
       PYTHONPATH=src python -m repro.serve.distributed serve \\
           --workload mnist-mlp --port 7070 --jobs 2
@@ -72,7 +71,7 @@ from repro.serve.fleet import ElasticFleet, FleetPolicy, ReplicaSpec
 from repro.serve.distributed.gateway import GatewayEndpoint, InferenceGateway
 from repro.serve.pool import ChipPool
 from repro.serve.retry import RetryBudget
-from repro.serve.schema import ERROR_OVERLOADED, InferenceRequest
+from repro.serve.schema import ERROR_OVERLOADED, PROTOCOL_VERSION, InferenceRequest
 from repro.serve.session import ChipSession
 from repro.utils.units import format_energy
 from repro.workloads import list_benchmarks
@@ -184,14 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(a structured 'deadline_exceeded' error once it passes)",
     )
     infer.add_argument(
-        "--wire",
-        default="auto",
-        choices=["auto", "json"],
-        help="wire carrier: auto negotiates binary frames with a v3 server "
-        "(falling back to JSON against older ones), json forces the JSON "
-        "carrier",
-    )
-    infer.add_argument(
         "--retry-attempts",
         type=int,
         default=None,
@@ -225,13 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="file the server subprocess logs to (default: a temp file); "
         "smoke dumps it when the check fails",
-    )
-    smoke.add_argument(
-        "--wire",
-        default="auto",
-        choices=["auto", "json"],
-        help="client wire carrier for the smoke drive: auto negotiates "
-        "binary frames, json forces the JSON fallback path",
     )
     smoke.add_argument(
         "--hedge-after",
@@ -468,15 +452,9 @@ def _client_inference(
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
-    with RemoteSession.connect(
-        args.endpoint, timeout=args.timeout, wire=args.wire
-    ) as remote:
+    with RemoteSession.connect(args.endpoint, timeout=args.timeout) as remote:
         info = remote.info()
         print(f"server    : {info}")
-        print(
-            f"wire      : negotiated protocol v{remote.wire_version} "
-            f"({'binary frames' if remote.wire_version >= 3 else 'JSON lines'})"
-        )
         request, response = _client_inference(remote, args)
         print(f"predictions: {response.predictions.tolist()}")
         print(
@@ -535,7 +513,6 @@ def _connect_to_booting_server(
     address: tuple[str, int],
     boot_timeout: float,
     timeout: float,
-    wire: str = "auto",
 ) -> RemoteSession:
     """Retry-connect while the server boots, failing fast if it dies."""
     deadline = time.monotonic() + boot_timeout
@@ -550,7 +527,6 @@ def _connect_to_booting_server(
                 address,
                 timeout=timeout,
                 wait=min(0.5, max(0.0, deadline - time.monotonic())),
-                wire=wire,
             )
         except OSError:
             if time.monotonic() >= deadline:
@@ -564,7 +540,6 @@ def _smoke_pipelined_clients(
     timeout: float,
     clients: int = 2,
     rounds: int = 3,
-    wire: str = "auto",
 ) -> None:
     """Two concurrent pipelined clients must match the serial answers exactly.
 
@@ -579,7 +554,7 @@ def _smoke_pipelined_clients(
     )
     serial = {0: remote.infer(request), 1: remote.infer(shifted)}
     sessions = [
-        PipelinedSession.connect(address, connections=1, timeout=timeout, wire=wire)
+        PipelinedSession.connect(address, connections=1, timeout=timeout)
         for _ in range(clients)
     ]
     try:
@@ -738,12 +713,11 @@ def _smoke_load_shedding(args: argparse.Namespace) -> None:
     serial = session()
     expected_head, expected_queued = serial.infer(head), serial.infer(queued)
     gate = _GatedTarget(session())
-    wire = getattr(args, "wire", "auto")
     with ChipServer(
         gate, port=0, workload=args.workload, max_queue=1
     ).start() as server:
         with PipelinedSession.connect(
-            server.address, connections=1, timeout=args.timeout, wire=wire
+            server.address, connections=1, timeout=args.timeout
         ) as client:
             info = client.info()
             print(
@@ -886,15 +860,14 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         try:
             address = _wait_for_listening_line(proc, log_path, args.boot_timeout)
             with _connect_to_booting_server(
-                proc, address, args.boot_timeout, args.timeout, args.wire
+                proc, address, args.boot_timeout, args.timeout
             ) as remote:
                 assert remote.ping(), "server did not answer ping"
-                expected_wire = 3 if args.wire == "auto" else 2
-                assert remote.wire_version == expected_wire, (
-                    f"--wire {args.wire} should negotiate protocol "
-                    f"v{expected_wire}, got v{remote.wire_version}"
-                )
                 info = remote.info()
+                assert info["protocol_version"] == PROTOCOL_VERSION, (
+                    f"server speaks protocol v{info['protocol_version']}, "
+                    f"this client v{PROTOCOL_VERSION}"
+                )
                 assert info["workload"] == args.workload, f"wrong workload: {info}"
                 assert info["replica_id"], f"server info lacks a replica id: {info}"
                 assert info["state"] == "serving", f"unexpected server state: {info}"
@@ -908,9 +881,8 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
                     flush=True,
                 )
                 print(
-                    f"smoke: server protocol v{info['protocol_version']}, "
-                    f"negotiated wire v{remote.wire_version} "
-                    f"({'binary frames' if remote.wire_version >= 3 else 'JSON lines'}), "
+                    f"smoke: server protocol v{info['protocol_version']} "
+                    f"(binary frames), "
                     f"started at {info['started_at']:.0f} "
                     f"(uptime {info['uptime_s']:.2f}s)",
                     flush=True,
@@ -931,9 +903,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
                     f"deterministic round trip ok",
                     flush=True,
                 )
-                _smoke_pipelined_clients(
-                    address, remote, request, args.timeout, wire=args.wire
-                )
+                _smoke_pipelined_clients(address, remote, request, args.timeout)
                 _smoke_metrics(remote)
                 remote.shutdown_server()
             returncode = proc.wait(timeout=30)

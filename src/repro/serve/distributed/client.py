@@ -16,14 +16,8 @@ Two client shapes speak the chip server's wire protocol (see
   coalesce); the blocking :meth:`PipelinedSession.infer` /
   :meth:`PipelinedSession.infer_many` adapters sit on top.
 
-Both clients negotiate the wire carrier on connect: a version-less JSON
-ping reveals the server's protocol version (every reply envelope carries
-``"v"``), and a peer speaking protocol 3 switches the connection to binary
-frames — raw little-endian array payloads instead of number-by-number JSON
-text.  Older servers keep getting newline-delimited JSON unchanged, and
-``wire="json"`` forces the fallback explicitly.  Reconnects renegotiate, so
-a server upgraded (or downgraded) under a live session is picked up on the
-next retry.
+Both clients speak protocol-3 binary frames from the first byte: raw
+little-endian array payloads instead of number-by-number text.
 
 Both clients are drop-in gateway endpoints (they expose ``capacity`` /
 ``backend`` / ``timesteps`` from the server's ``info``), and both return
@@ -34,7 +28,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import json
 import socket
 import threading
 import time
@@ -43,8 +36,6 @@ from concurrent.futures import Future, InvalidStateError
 from repro.serve.retry import RetryBudget, RetryBudgetExhausted, retry_backoff
 from repro.serve.schema import (
     FRAME_HEADER_SIZE,
-    FRAME_MAGIC,
-    PROTOCOL_VERSION,
     InferenceRequest,
     InferenceResponse,
     decode_frame_payload,
@@ -150,15 +141,6 @@ def _connect_with_wait(factory, wait: float):
             time.sleep(0.05)
 
 
-# -- wire carrier negotiation -------------------------------------------------------
-
-#: Envelopes from this protocol version up ride the binary frame carrier.
-_BINARY_MIN_VERSION = 3
-
-#: Highest version a ``wire="json"`` client declares (keeps the connection
-#: on the JSON carrier even against a frame-capable server).
-_JSON_MAX_VERSION = 2
-
 #: Reconnect backoff: retry *n* sleeps about ``base * 2**n`` seconds,
 #: jittered, so clients of a restarting server spread out instead of
 #: hammering the listen queue in lockstep.  Kept as a module-level name so
@@ -167,59 +149,20 @@ _JSON_MAX_VERSION = 2
 _retry_backoff = retry_backoff
 
 
-def _negotiated_version(peer_version: int, wire: str) -> int:
-    """The envelope version this client declares to a ``peer_version`` server."""
-    cap = PROTOCOL_VERSION if wire == "auto" else _JSON_MAX_VERSION
-    return max(1, min(cap, peer_version))
-
-
-def _handshake(file) -> int:
-    """Discover the peer's protocol version over a fresh connection.
-
-    Sends a version-less JSON ping — the one envelope every server
-    generation accepts (a missing ``"v"`` reads as version 1) — and returns
-    the ``"v"`` stamped on the reply.  Even an error reply carries the
-    peer's version, so negotiation works against servers that reject the
-    ping itself.
-    """
-    file.write(json.dumps({"op": "ping"}).encode("utf-8") + b"\n")
-    file.flush()
-    line = file.readline()
-    if not line:
-        raise ConnectionError(
-            "server closed the connection during version negotiation"
-        )
-    try:
-        reply = json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ConnectionError(
-            f"unparseable version-negotiation reply: {exc}"
-        ) from None
-    version = reply.get("v", 1) if isinstance(reply, dict) else 1
-    return version if isinstance(version, int) and version >= 1 else 1
-
-
 def _encode_message(
-    message: dict[str, object], version: int, *, buffer: bytearray | None = None
+    message: dict[str, object], *, buffer: bytearray | None = None
 ):
-    """Serialise one request envelope for the negotiated carrier.
+    """Serialise one request envelope to a binary frame.
 
     ``message["request"]`` may hold a live :class:`InferenceRequest`: it is
-    serialised here, per wire attempt, because only the connection knows
-    which carrier (and therefore which array codec) is in force — and a
-    retry may land on a renegotiated connection speaking the other one.
+    turned into its frame representation here, per wire attempt, so a
+    retry re-encodes from the request itself.
     """
     payload = dict(message)
-    payload["v"] = version
-    binary = version >= _BINARY_MIN_VERSION
     request = payload.get("request")
     if isinstance(request, InferenceRequest):
-        payload["request"] = (
-            request.to_wire_dict() if binary else request.to_dict()
-        )
-    if binary:
-        return encode_frame(payload, buffer=buffer)
-    return json.dumps(payload).encode("utf-8") + b"\n"
+        payload["request"] = request.to_wire_dict()
+    return encode_frame(payload, buffer=buffer)
 
 
 def _read_exact(file, count: int) -> bytes:
@@ -229,14 +172,14 @@ def _read_exact(file, count: int) -> bytes:
     return data
 
 
-def _read_frame_reply(file, first: bytes = b"") -> dict[str, object]:
-    """Read one reply frame from a blocking file (``first`` = peeked bytes).
+def _read_frame_reply(file) -> dict[str, object]:
+    """Read one reply frame from a blocking file.
 
-    Frame-level corruption surfaces as :class:`ConnectionError`: the byte
-    stream cannot be resynchronised, so the caller must drop the connection
-    (and, for idempotent ops, retry on a fresh one).
+    EOF and frame-level corruption surface as :class:`ConnectionError`: the
+    byte stream cannot be resynchronised, so the caller must drop the
+    connection (and, for idempotent ops, retry on a fresh one).
     """
-    header = first + _read_exact(file, FRAME_HEADER_SIZE - len(first))
+    header = _read_exact(file, FRAME_HEADER_SIZE)
     try:
         meta_len, payload_len = parse_frame_header(header)
     except ValueError as exc:
@@ -264,11 +207,6 @@ class RemoteSession:
         failure (a server restart leaves the session holding a dead socket;
         one retry rides out a reboot).  ``0`` disables the resilience.
         Retries back off with jitter so a rebooting server is not hammered.
-    wire:
-        ``"auto"`` (default) negotiates the binary frame carrier with a
-        protocol-3 server and falls back to JSON against older ones;
-        ``"json"`` forces the JSON carrier regardless of what the server
-        speaks.
 
     The session holds one persistent connection; requests are serialised on
     it (one message out, one message in).  Use one ``RemoteSession`` per
@@ -282,24 +220,19 @@ class RemoteSession:
         *,
         timeout: float = 120.0,
         retries: int = 1,
-        wire: str = "auto",
     ):
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if wire not in ("auto", "json"):
-            raise ValueError(f"wire must be 'auto' or 'json', got {wire!r}")
         self.host = host
         self.port = port
         self.timeout = timeout
         self.retries = retries
-        self.wire = wire
         self._socket: socket.socket | None = None
         self._file = None
         self._ids = itertools.count(1)
         self._info: dict[str, object] | None = None
         self._closed = False
-        self._peer_version = 1
-        # Reused across binary encodes: the socket write completes before
+        # Reused across frame encodes: the socket write completes before
         # the next request is serialised, so one buffer serves the session.
         self._encode_buffer = bytearray()
         self._connect()
@@ -312,7 +245,6 @@ class RemoteSession:
         timeout: float = 120.0,
         retries: int = 1,
         wait: float = 0.0,
-        wire: str = "auto",
     ) -> "RemoteSession":
         """Connect to ``"host:port"`` (or a ``(host, port)`` tuple).
 
@@ -323,29 +255,17 @@ class RemoteSession:
             parse_endpoint(endpoint) if isinstance(endpoint, str) else endpoint
         )
         return _connect_with_wait(
-            lambda: cls(host, port, timeout=timeout, retries=retries, wire=wire),
+            lambda: cls(host, port, timeout=timeout, retries=retries),
             wait,
         )
 
     # -- connection management ----------------------------------------------------
-
-    @property
-    def wire_version(self) -> int:
-        """Envelope version negotiated on the current connection."""
-        return _negotiated_version(self._peer_version, self.wire)
 
     def _connect(self) -> None:
         self._socket = socket.create_connection(
             (self.host, self.port), timeout=self.timeout
         )
         self._file = self._socket.makefile("rwb")
-        try:
-            # Every (re)connect renegotiates: the server behind the address
-            # may have been upgraded or downgraded since the last attempt.
-            self._peer_version = _handshake(self._file)
-        except (ConnectionError, OSError):
-            self._drop_connection()
-            raise
 
     def _drop_connection(self) -> None:
         file, sock = self._file, self._socket
@@ -390,24 +310,11 @@ class RemoteSession:
                 request_id = next(self._ids)
                 payload = dict(message)
                 payload["id"] = request_id
-                version = self.wire_version
-                binary = version >= _BINARY_MIN_VERSION
                 self._file.write(
-                    _encode_message(payload, version, buffer=self._encode_buffer)
+                    _encode_message(payload, buffer=self._encode_buffer)
                 )
                 self._file.flush()
-                # The reply mirrors the request's carrier, so the read side
-                # is deterministic: frame out means frame back.
-                if binary:
-                    reply = _read_frame_reply(self._file)
-                else:
-                    line = self._file.readline()
-                    if not line:
-                        raise ConnectionError(
-                            f"chip server at {self.host}:{self.port} closed "
-                            f"the connection"
-                        )
-                    reply = json.loads(line.decode("utf-8"))
+                reply = _read_frame_reply(self._file)
                 if reply.get("id") not in (None, request_id):
                     raise ConnectionError(
                         f"chip server at {self.host}:{self.port} answered request "
@@ -482,9 +389,7 @@ class RemoteSession:
         request with a structured ``deadline_exceeded`` error if that much
         time passes before dispatch (see :class:`RemoteServerError.code`).
         """
-        # The live request rides the envelope; _call serialises it with the
-        # codec of whichever carrier the (possibly reconnected) connection
-        # negotiated.
+        # The live request rides the envelope; _call encodes it per attempt.
         fields: dict[str, object] = {"request": request}
         if deadline_s is not None:
             fields["deadline_s"] = float(deadline_s)
@@ -535,22 +440,11 @@ class RemoteSession:
 class _PipelinedConnection:
     """One socket carrying many tagged requests; a reader thread routes replies."""
 
-    def __init__(self, host: str, port: int, timeout: float, wire: str = "auto"):
+    def __init__(self, host: str, port: int, timeout: float):
         self.host = host
         self.port = port
         self._socket = socket.create_connection((host, port), timeout=timeout)
         self._file = self._socket.makefile("rwb")
-        try:
-            # Negotiate while the establishment timeout still governs the
-            # socket: a wedged server fails the constructor instead of
-            # hanging a pool slot forever.
-            self.peer_version = _handshake(self._file)
-        except (ConnectionError, OSError):
-            with contextlib.suppress(OSError):
-                self._file.close()
-            self._socket.close()
-            raise
-        self.wire_version = _negotiated_version(self.peer_version, wire)
         # The timeout above governs connection establishment only.  The
         # reader must block indefinitely between replies: a pipelined
         # connection is legitimately idle for long stretches, and a read
@@ -580,7 +474,7 @@ class _PipelinedConnection:
         # Serialise outside the lock — encoding a megabyte batch must not
         # stall other senders.  No shared encode buffer here: several
         # threads may be in this section at once.
-        data = _encode_message(message, self.wire_version)
+        data = _encode_message(message)
         with self._lock:
             if self._dead:
                 raise ConnectionError(
@@ -599,20 +493,7 @@ class _PipelinedConnection:
     def _read_loop(self) -> None:
         try:
             while True:
-                # Peek the carrier byte: replies mirror their request's
-                # carrier, so a negotiated-binary connection reads frames —
-                # but the magic byte is checked per reply rather than
-                # assumed, keeping the reader honest about desyncs.
-                first = self._file.read(1)
-                if not first:
-                    break
-                if first == FRAME_MAGIC[:1]:
-                    reply = _read_frame_reply(self._file, first)
-                else:
-                    line = first + self._file.readline()
-                    if not line.strip():
-                        continue
-                    reply = json.loads(line.decode("utf-8"))
+                reply = _read_frame_reply(self._file)
                 with self._lock:
                     future = self._pending.pop(reply.get("id"), None)
                 if future is None:
@@ -717,10 +598,6 @@ class PipelinedSession:
         connections wait indefinitely for replies (they are legitimately
         idle between batches); put per-request deadlines on
         ``future.result(timeout=...)``.
-    wire:
-        ``"auto"`` (default) negotiates the binary frame carrier per
-        connection and falls back to JSON against pre-v3 servers;
-        ``"json"`` forces the JSON carrier.
 
     :meth:`submit` returns a :class:`CancellableFuture` resolving to the
     :class:`InferenceResponse` — cancelling it also sends a ``cancel`` op so
@@ -740,23 +617,19 @@ class PipelinedSession:
         *,
         connections: int = 2,
         timeout: float = 120.0,
-        wire: str = "auto",
     ):
         if connections < 1:
             raise ValueError(f"connections must be >= 1, got {connections}")
-        if wire not in ("auto", "json"):
-            raise ValueError(f"wire must be 'auto' or 'json', got {wire!r}")
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.wire = wire
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._info: dict[str, object] | None = None
         self._closed = False
         # Fail fast like RemoteSession: the first connection opens eagerly.
         self._connections: list[_PipelinedConnection | None] = [
-            _PipelinedConnection(host, port, timeout, wire)
+            _PipelinedConnection(host, port, timeout)
         ] + [None] * (connections - 1)
 
     @classmethod
@@ -767,31 +640,17 @@ class PipelinedSession:
         connections: int = 2,
         timeout: float = 120.0,
         wait: float = 0.0,
-        wire: str = "auto",
     ) -> "PipelinedSession":
         """Connect to ``"host:port"`` (or a tuple), waiting out a server boot."""
         host, port = (
             parse_endpoint(endpoint) if isinstance(endpoint, str) else endpoint
         )
         return _connect_with_wait(
-            lambda: cls(
-                host, port, connections=connections, timeout=timeout, wire=wire
-            ),
+            lambda: cls(host, port, connections=connections, timeout=timeout),
             wait,
         )
 
     # -- connection pool ----------------------------------------------------------
-
-    @property
-    def wire_version(self) -> int:
-        """Envelope version negotiated on the live connections (max seen)."""
-        with self._lock:
-            versions = [
-                connection.wire_version
-                for connection in self._connections
-                if connection is not None and not connection.dead
-            ]
-        return max(versions, default=_negotiated_version(1, self.wire))
 
     def _pick_connection(self) -> _PipelinedConnection:
         """The least-loaded live connection, (re)opening slots as needed."""
@@ -820,7 +679,7 @@ class PipelinedSession:
         # but connect OUTSIDE the session lock: establishment can block for
         # the whole timeout and must not stall submits that could ride the
         # healthy connections.
-        fresh = _PipelinedConnection(self.host, self.port, self.timeout, self.wire)
+        fresh = _PipelinedConnection(self.host, self.port, self.timeout)
         with self._lock:
             if self._closed:
                 fresh.close()
@@ -959,7 +818,7 @@ class PipelinedSession:
         """
         outer = CancellableFuture()
         # The live request rides the fields; each connection's send()
-        # serialises it with the codec of its own negotiated carrier.
+        # encodes it per attempt.
         fields: dict[str, object] = {"request": request}
         if deadline_s is not None:
             fields["deadline_s"] = float(deadline_s)

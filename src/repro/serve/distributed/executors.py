@@ -29,13 +29,6 @@ Three executors are provided:
   segment (written once by the pool, read and filled in place by the
   workers), so inter-process transfer cost is O(1) in the batch size; the
   scalar-sized remainder of each request/response rides compact JSON.
-* :class:`ProcessJsonExecutor` — the same process workers shipping whole
-  requests and responses through the lossless JSON schema
-  (:meth:`~repro.serve.schema.InferenceRequest.to_json` /
-  :meth:`~repro.serve.schema.InferenceResponse.from_json`), exactly the
-  bytes a JSON-carrier chip server would exchange — kept as the single-host
-  proof of the text wire format (and as the comparison baseline the
-  shared-memory path is benchmarked against).
 """
 
 from __future__ import annotations
@@ -64,7 +57,6 @@ __all__ = [
     "InlineExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "ProcessJsonExecutor",
     "EXECUTORS",
     "make_executor",
 ]
@@ -204,13 +196,6 @@ def _process_worker_init(spec: SessionSpec) -> None:
     _WORKER_SESSION = spec.build_session()
 
 
-def _process_worker_infer(payload: str) -> str:
-    if _WORKER_SESSION is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("process worker used before initialisation")
-    request = InferenceRequest.from_json(payload)
-    return _WORKER_SESSION.infer(request).to_json()
-
-
 def _pad8(offset: int) -> int:
     """Round ``offset`` up to the next 8-byte boundary (array slot alignment)."""
     return (offset + 7) & ~7
@@ -312,19 +297,12 @@ class ProcessExecutor(ShardExecutor):
         ``"forkserver"`` or ``None`` for the platform default).  All methods
         work because :class:`SessionSpec` is picklable and segments are
         attached by name.
-    transport:
-        ``"shm"`` (default) for the shared-memory array path, ``"json"``
-        for whole-request JSON round trips (the
-        :class:`ProcessJsonExecutor` baseline).
     """
 
     name = "process"
 
-    def __init__(self, start_method: str | None = None, transport: str = "shm"):
-        if transport not in ("shm", "json"):
-            raise ValueError(f"transport must be 'shm' or 'json', got {transport!r}")
+    def __init__(self, start_method: str | None = None):
         self._start_method = start_method
-        self._transport = transport
         self._pool: multiprocessing.pool.Pool | None = None
         self._output_dim = 0
 
@@ -343,18 +321,6 @@ class ProcessExecutor(ShardExecutor):
             raise RuntimeError("process executor is not started")
         if not shards:
             return []
-        if self._transport == "json":
-            payloads = self._pool.map(
-                _process_worker_infer,
-                [shard.to_json() for shard in shards],
-                chunksize=1,
-            )
-            return [InferenceResponse.from_json(payload) for payload in payloads]
-        return self._run_shards_shm(shards)
-
-    def _run_shards_shm(
-        self, shards: list[InferenceRequest]
-    ) -> list[InferenceResponse]:
         # One segment per dispatch wave: lay out every shard's input/label
         # arrays plus its preallocated output slots, 8-byte aligned.
         entries = []
@@ -460,26 +426,11 @@ class ProcessExecutor(ShardExecutor):
             self._pool = None
 
 
-class ProcessJsonExecutor(ProcessExecutor):
-    """Process workers shipping whole requests/responses as JSON text.
-
-    The pre-shared-memory transport, kept under its own registry name: it
-    proves the text wire format end to end on a single host and serves as
-    the baseline the shared-memory path is benchmarked against.
-    """
-
-    name = "process-json"
-
-    def __init__(self, start_method: str | None = None):
-        super().__init__(start_method, transport="json")
-
-
 #: Executor registry, keyed by the names ``ChipPool(executor=...)`` accepts.
 EXECUTORS: dict[str, type[ShardExecutor]] = {
     InlineExecutor.name: InlineExecutor,
     ThreadExecutor.name: ThreadExecutor,
     ProcessExecutor.name: ProcessExecutor,
-    ProcessJsonExecutor.name: ProcessJsonExecutor,
 }
 
 

@@ -29,7 +29,7 @@ The gateway also mitigates *stragglers*: with hedging enabled
 (``hedge_after_s`` and/or ``hedge_percentile``), a shard whose wait exceeds
 the straggler threshold is **hedged** — duplicated to the least-loaded
 serving sibling.  The first attempt to finish wins the shard; the loser is
-cancelled best-effort (over the wire via the v2 ``cancel`` op, tagged
+cancelled best-effort (over the wire via the ``cancel`` op, tagged
 ``reason="hedge"``, when the endpoint hands out cancellable futures), and a
 losing attempt that still completes is counted as wasted compute.  Hedging
 is exact for the same reason shed-retry is: shards are deterministic,

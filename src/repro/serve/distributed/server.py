@@ -1,42 +1,37 @@
-"""Asyncio chip server: pipelined JSON-or-binary inference over TCP.
+"""Asyncio chip server: pipelined binary-frame inference over TCP.
 
 :class:`ChipServer` wraps any inference target that answers
 ``infer(InferenceRequest) -> InferenceResponse`` — a
 :class:`~repro.serve.ChipSession`, a :class:`~repro.serve.ChipPool`, even a
-gateway — behind a tiny protocol that stdlib clients can speak:
+gateway — behind a tiny protocol:
 
 * client sends one envelope per message: ``{"op": "infer", "request":
   {...}}``, ``{"op": "info"}``, ``{"op": "ping"}``, ``{"op": "metrics"}``,
-  ``{"op": "drain"}`` or ``{"op": "shutdown"}``, optionally tagged with a
-  protocol version ``"v"`` and a request ``"id"``;
+  ``{"op": "drain"}`` or ``{"op": "shutdown"}``, each tagged with the
+  protocol version ``"v": 3`` and a request ``"id"``;
 * server answers one envelope per message: ``{"ok": true, ...}`` on success
-  or ``{"ok": false, "error": "..."}`` on failure — malformed JSON, schema
-  violations, corrupt binary frames and inference errors all surface as
-  error replies rather than dropped connections.  Replies echo the
-  request's ``id``.
+  or ``{"ok": false, "error": "..."}`` on failure — corrupt frames, envelope
+  violations, schema violations and inference errors all surface as error
+  replies rather than dropped connections.  Replies echo the request's
+  ``id``.
 
-Envelopes travel on either **carrier** of the same TCP connection: a
-newline-delimited JSON line (protocol v1/v2, still fully supported) or a
-protocol-v3 length-prefixed binary frame
+Every envelope travels as a protocol-v3 length-prefixed binary frame
 (:data:`~repro.serve.schema.FRAME_MAGIC` header, compact-JSON metadata, raw
-little-endian array payload — see :mod:`repro.serve.schema`).  The reader
-peeks one byte per message to tell them apart, and every reply leaves on
-the carrier its request arrived on, so a connection's effective protocol
-version is negotiated per message and mixed fleets of v1/v2/v3 clients
-share one server unchanged.  Binary frames skip the per-float text codec
-entirely: a v3 ``infer`` round trip serialises the batch as two memcpys.
+little-endian array payload — see :mod:`repro.serve.schema`), so an
+``infer`` round trip serialises the batch as two memcpys.  A peer whose
+first byte is not the frame magic (an old JSON-line client) gets one error
+frame naming protocol 3, then the server hangs up.
 
-The server core is an :mod:`asyncio` event loop, so a connection is no
-longer a lock-step request/reply channel: a client may keep several tagged
-requests in flight and match the replies by ``id`` (version-1 clients that
-send untagged requests get their replies in arrival order, exactly as
-before).  Every ``infer`` lands on a single server-wide queue; a dispatcher
-coroutine drains the queue and **dynamically batches** compatible requests —
-same ``timesteps`` override — from any number of clients into one
-``target.infer_many`` pool dispatch.  Responses are split back per request
-by the pool, exactly (shard-stable encoding means coalescing changes
-throughput, never numbers).  Chip work runs on a one-thread executor so the
-event loop stays responsive while the chips crunch.
+The server core is an :mod:`asyncio` event loop, so a connection is not a
+lock-step request/reply channel: a client may keep several tagged requests
+in flight and match the replies by ``id``.  Every ``infer`` lands on a
+single server-wide queue; a dispatcher coroutine drains the queue and
+**dynamically batches** compatible requests — same ``timesteps`` override
+— from any number of clients into one ``target.infer_many`` pool
+dispatch.  Responses are split back per request by the pool, exactly
+(shard-stable encoding means coalescing changes throughput, never
+numbers).  Chip work runs on a one-thread executor so the event loop stays
+responsive while the chips crunch.
 
 The queue is also the server's **admission-control plane**: ``max_queue``
 bounds how many requests may wait at once and ``shed_policy`` decides
@@ -48,9 +43,9 @@ connection's own queued request.  Live load (``queue_depth``,
 ``inflight``) and the shed/expired/cancelled counters are exported through
 the ``info`` op, which is what the gateway's adaptive sharding feeds on.
 
-The payloads are exactly the serve-schema dicts, so a response read off the
-wire is lossless (`InferenceResponse.from_dict`), and the numbers a remote
-client sees are bit-identical to a local run.
+The payloads are exactly the serve-schema dicts with their arrays kept raw,
+so a response read off the wire is lossless (`InferenceResponse.from_dict`),
+and the numbers a remote client sees are bit-identical to a local run.
 
 :func:`load_benchmark_workload` builds a servable SNN from the benchmark
 registry (network → synthetic dataset → ANN→SNN conversion), which is what
@@ -80,13 +75,13 @@ from repro.serve.schema import (
     ERROR_OVERLOADED,
     FRAME_HEADER_SIZE,
     FRAME_MAGIC,
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     SCHEMA_VERSION,
     InferenceRequest,
     decode_frame_payload,
     encode_frame,
     error_envelope,
-    parse_envelope,
     parse_frame_header,
     reply_envelope,
     validate_envelope,
@@ -135,20 +130,10 @@ class ServeRejection(Exception):
         super().__init__(message)
         self.code = code
 
-#: Longest accepted wire line.  A request line carries the whole input batch
-#: as JSON floats (~20 bytes per value), so the stdlib's 64 KiB stream
-#: default would cap batches at a few thousand values; 64 MiB comfortably
-#: fits production-sized batches while still bounding a misbehaving client.
-MAX_LINE_BYTES = 64 * 1024 * 1024
 
-#: Lines longer than this are parsed off the event loop: decoding megabytes
-#: of JSON inline would stall every other connection for the duration.
+#: Frames larger than this are decoded off the event loop, so one large
+#: request never stalls the other connections while it is decoded.
 _OFFLOAD_PARSE_BYTES = 64 * 1024
-
-
-def _encode_reply_line(reply: dict[str, object]) -> bytes:
-    """Serialise one reply envelope to its wire line (runs off-loop)."""
-    return json.dumps(reply).encode("utf-8") + b"\n"
 
 
 def _encode_reply_frame(reply: dict[str, object]) -> bytes:
@@ -712,19 +697,13 @@ class ChipServer:
         return float(deadline_s)
 
     async def _execute(
-        self,
-        message: dict[str, object],
-        conn_pending: dict[object, _QueuedInfer],
-        binary: bool = False,
+        self, message: dict[str, object], conn_pending: dict[object, _QueuedInfer]
     ) -> dict[str, object]:
         """Turn one parsed envelope into a reply envelope (never raises).
 
-        ``conn_pending`` maps this connection's still-pending tagged
-        ``infer`` ids to their queue items, which is what the ``cancel`` op
-        reaches into (and how it tells queued work from dispatched work).
-        ``binary`` selects the reply payload codec: frame replies keep the
-        response arrays as ndarrays (shipped raw by the frame encoder)
-        instead of paying the per-float ``to_dict`` conversion.
+        ``conn_pending`` maps this connection's still-pending ``infer`` ids
+        to their queue items, which is what the ``cancel`` op reaches into
+        (and how it tells queued work from dispatched work).
         """
         op = message.get("op")
         request_id = message.get("id")
@@ -759,8 +738,7 @@ class ChipServer:
                 # Registered BEFORE admission so a cancel op can reach a
                 # request still blocked in block-policy admission (its
                 # future resolves; _admit then declines to enqueue it).
-                if request_id is not None:
-                    conn_pending[request_id] = item
+                conn_pending[request_id] = item
                 admit_started = self._loop.time()
                 try:
                     await self._admit(item)
@@ -769,20 +747,12 @@ class ChipServer:
                     # response (or the dispatch failure).
                     response = await future
                 finally:
-                    if request_id is not None:
-                        conn_pending.pop(request_id, None)
+                    conn_pending.pop(request_id, None)
                 self._m_wall.observe(self._loop.time() - admit_started)
-                if binary:
-                    # Frame replies carry the arrays raw; building the wire
-                    # dict is O(1) in the batch (no per-float conversion),
-                    # so it can stay on the loop.
-                    result = {"response": response.to_wire_dict()}
-                else:
-                    result = {
-                        "response": await self._loop.run_in_executor(
-                            None, response.to_dict
-                        )
-                    }
+                # The reply frame carries the arrays raw; building the wire
+                # dict is O(1) in the batch (no per-float conversion), so it
+                # can stay on the loop.
+                result = {"response": response.to_wire_dict()}
             elif op == "cancel":
                 target = message.get("target")
                 if target is None:
@@ -830,9 +800,8 @@ class ChipServer:
                     cancelled = True
                 result = {"cancelled": cancelled, "target": target}
             elif op == "metrics":
-                # Version-agnostic, like drain: any envelope version may
-                # scrape; the payload matches the Prometheus endpoint
-                # byte for byte (both render one registry snapshot).
+                # The payload matches the Prometheus endpoint byte for byte
+                # (both render one registry snapshot).
                 result = {"metrics": self.metrics_payload()}
             elif op == "drain":
                 result = self._begin_drain()
@@ -986,19 +955,31 @@ class ChipServer:
                     item.future.set_result(response)
 
     async def _read_frame(
-        self, reader: asyncio.StreamReader, first: bytes
+        self, reader: asyncio.StreamReader
     ) -> tuple[
         dict[str, object] | None, tuple[str, object, object] | None, bool
     ]:
-        """Read one binary frame after its peeked first byte.
+        """Read one binary frame off the connection.
 
         Returns ``(message, error, fatal)``: a decoded envelope, or an error
         triple for the structured error reply, with ``fatal`` True when the
-        stream cannot be resynchronised (corrupt header) and the connection
-        must hang up after the reply.  Truncated frames (EOF mid-frame)
-        raise :class:`asyncio.IncompleteReadError` to the caller — there is
-        no peer left to answer.
+        stream cannot be framed (not a frame at all, or a corrupt header)
+        and the connection must hang up after the reply.  EOF — between
+        frames or mid-frame — raises :class:`asyncio.IncompleteReadError`
+        to the caller: there is no peer left to answer.
         """
+        # Peek one byte before waiting for a whole header: an old JSON-line
+        # peer's ``{"op": "ping"}\n`` is shorter than a header, so reading
+        # the header first would leave both sides waiting forever.
+        first = await reader.readexactly(1)
+        if first != FRAME_MAGIC[:1]:
+            return None, (
+                f"ValueError: this server speaks protocol {PROTOCOL_VERSION} "
+                f"binary frames only; the message starts with {first!r}, not "
+                f"the frame magic {FRAME_MAGIC!r}",
+                None,
+                None,
+            ), True
         header = first + await reader.readexactly(FRAME_HEADER_SIZE - 1)
         try:
             meta_len, payload_len = parse_frame_header(header)
@@ -1081,19 +1062,16 @@ class ChipServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         write_lock = asyncio.Lock()
-        ordered_tail: asyncio.Task | None = None
         tasks: set[asyncio.Task] = set()
         saw_shutdown = False
         saw_drain = False
-        # Tagged infer requests of THIS connection still waiting for their
-        # reply; the cancel op may only reach its own connection's work.
+        # Infer requests of THIS connection still waiting for their reply;
+        # the cancel op may only reach its own connection's work.
         conn_pending: dict[object, _QueuedInfer] = {}
 
         async def process(
             message: dict[str, object] | None,
             error: tuple[str, object, object] | None,
-            previous: asyncio.Task | None,
-            binary: bool,
         ) -> None:
             op = None if message is None else message.get("op")
             if error is not None:
@@ -1101,18 +1079,9 @@ class ChipServer:
                 reply = error_envelope(text, op=err_op, request_id=request_id)
             else:
                 assert message is not None
-                reply = await self._execute(message, conn_pending, binary)
-            if previous is not None:
-                # Version-1 requests carry no id, so their replies must
-                # leave in arrival order; chain on the previous untagged
-                # reply (its own failures were already turned into replies).
-                with contextlib.suppress(Exception):
-                    await asyncio.shield(previous)
+                reply = await self._execute(message, conn_pending)
             assert self._loop is not None
-            # The reply leaves on the carrier its request arrived on, so
-            # every client reads replies in the format it speaks.
-            encode = _encode_reply_frame if binary else _encode_reply_line
-            data = await self._loop.run_in_executor(None, encode, reply)
+            data = await self._loop.run_in_executor(None, _encode_reply_frame, reply)
             try:
                 async with write_lock:
                     writer.write(data)
@@ -1130,81 +1099,21 @@ class ChipServer:
 
         try:
             while True:
-                # Peek the carrier: a frame starts with the magic byte
-                # (never valid at the start of a JSON line), anything else
-                # is a newline-delimited JSON envelope.
-                try:
-                    first = await reader.readexactly(1)
-                except asyncio.IncompleteReadError:
+                message, error, fatal = await self._read_frame(reader)
+                if fatal:
+                    assert error is not None
+                    text, op, request_id = error
+                    reply = error_envelope(text, op=op, request_id=request_id)
+                    async with write_lock:
+                        writer.write(_encode_reply_frame(reply))
+                        await writer.drain()
                     break
-                message: dict[str, object] | None = None
-                error: tuple[str, object, object] | None = None
-                binary = first == FRAME_MAGIC[:1]
-                if binary:
-                    message, error, fatal = await self._read_frame(reader, first)
-                    if fatal:
-                        assert error is not None
-                        text, op, request_id = error
-                        reply = error_envelope(text, op=op, request_id=request_id)
-                        async with write_lock:
-                            writer.write(_encode_reply_frame(reply))
-                            await writer.drain()
-                        break
-                else:
-                    try:
-                        line = first + await reader.readline()
-                    except ValueError:
-                        # Line longer than the stream limit: the connection
-                        # cannot be resynchronised, but the client still
-                        # gets told why before the hangup.
-                        reply = error_envelope(
-                            f"ValueError: request line exceeds the server's "
-                            f"{MAX_LINE_BYTES} byte limit"
-                        )
-                        async with write_lock:
-                            writer.write(json.dumps(reply).encode("utf-8") + b"\n")
-                            await writer.drain()
-                        break
-                    text = line.strip()
-                    if not text:
-                        continue
-                    try:
-                        decoded = text.decode("utf-8")
-                        if len(text) > _OFFLOAD_PARSE_BYTES:
-                            # Parsing megabytes of JSON inline would stall
-                            # every other connection; push it to the
-                            # default executor.
-                            message = await asyncio.get_running_loop().run_in_executor(
-                                None, parse_envelope, decoded
-                            )
-                        else:
-                            message = parse_envelope(decoded)
-                    except ValueError as exc:
-                        # Best effort to tag the error reply: a line that is
-                        # valid JSON but a rejected envelope (bad version,
-                        # ...) still carries an id a pipelined client
-                        # routes by.
-                        op = request_id = None
-                        if len(text) <= _OFFLOAD_PARSE_BYTES:
-                            with contextlib.suppress(ValueError, UnicodeDecodeError):
-                                raw = json.loads(text.decode("utf-8"))
-                                if isinstance(raw, dict):
-                                    op, request_id = raw.get("op"), raw.get("id")
-                        error = (f"ValueError: {exc}", op, request_id)
                 msg_op = None if message is None else message.get("op")
                 if msg_op == "shutdown":
                     saw_shutdown = True
                 elif msg_op == "drain":
                     saw_drain = True
-                pipelined = message is not None and message.get("id") is not None
-                task = asyncio.create_task(
-                    process(
-                        message,
-                        error,
-                        None if pipelined else ordered_tail,
-                        binary,
-                    )
-                )
+                task = asyncio.create_task(process(message, error))
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
                 if msg_op == "infer":
@@ -1214,8 +1123,6 @@ class ChipServer:
                     # count can never leak and wedge a drain).
                     self._active_infers += 1
                     task.add_done_callback(self._infer_reply_done)
-                if not pipelined:
-                    ordered_tail = task
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
@@ -1263,8 +1170,11 @@ class ChipServer:
                 connections.discard(task)
 
         dispatcher = asyncio.create_task(self._batch_loop())
+        # The stream-reader limit is the frame cap: with the 64 KiB default,
+        # readexactly pauses and resumes the transport over and over while a
+        # multi-megabyte frame arrives.
         server = await asyncio.start_server(
-            handle, sock=self._sock, limit=MAX_LINE_BYTES
+            handle, sock=self._sock, limit=MAX_FRAME_BYTES
         )
         metrics_server = None
         if self._metrics_sock is not None:

@@ -11,31 +11,20 @@ precision), carrying :class:`~repro.core.stats.EventCounters` and
 The schema is versioned (``SCHEMA_VERSION``) so a deserialiser can reject
 payloads written by an incompatible producer instead of mis-reading them.
 
-This module also defines the *wire envelope* the chip server and its clients
-exchange.  Protocol version 2 adds explicit ``op``/``reply`` framing and
-optional request ``id``\\ s so several requests can be in flight on one
-connection; version-1 peers (no ``v``, no ``id``) remain fully supported —
-the server answers them in arrival order, exactly as before.
-
-Protocol **version 3** adds a *binary frame* carrier for the very same
-envelopes: a fixed little-endian header (:data:`FRAME_MAGIC`, metadata
+This module also defines the *wire protocol* the chip server and its
+clients exchange: **version 3**, whose only carrier is the *binary frame*.
+A frame is a fixed little-endian header (:data:`FRAME_MAGIC`, metadata
 length, payload length), a compact-JSON metadata section holding the
-envelope with its large arrays replaced by indexed placeholders, and a raw
-payload of little-endian ``float64`` / ``int64`` array bytes (``inputs``,
-``labels``, ``predictions``, ``spike_counts``).  Both carriers share one TCP
-connection: a JSON line starts with a printable byte and ends in ``\\n``,
-while a frame starts with the magic byte ``0x93`` (a UTF-8 continuation
-byte, never the first byte of a JSON line), so a reader distinguishes them
-by peeking one byte.  Frames are **bit-identical** to the JSON carrier —
-``float64``/``int64`` values cross the wire as their raw bytes, which is
-*easier* to keep exact than JSON's shortest-round-trip text — and version
-negotiation happens at the envelope level: every reply envelope carries the
-sender's ``v``, so a client learns the server's version from its first
-(JSON) reply and only then switches to frames, while v1/v2 peers keep
-speaking JSON lines unchanged.
+request/reply *envelope* (``op``/``reply`` framing plus a request ``id``)
+with its large arrays replaced by indexed placeholders, and a raw payload of
+little-endian ``float64`` / ``int64`` array bytes (``inputs``, ``labels``,
+``predictions``, ``spike_counts``).  Arrays cross the wire as their raw
+bytes, so a response read off the wire is **bit-identical** to a local run.
+Every request carries ``"v": 3`` and an ``id``; replies echo the ``id``, so
+several requests can be in flight on one connection and their replies
+matched out of order.
 
-The version-2 envelope additionally carries the admission-control surface
-(all optional, so v1/v2 peers that ignore it are unchanged):
+The envelope also carries the admission-control surface (all optional):
 
 * an ``infer`` request may set ``deadline_s`` (positive seconds); the server
   rejects the request once that much time has passed before dispatch;
@@ -50,7 +39,7 @@ The version-2 envelope additionally carries the admission-control surface
   retirement: new ``infer`` requests are rejected with
   ``code == "draining"``, already-admitted work runs to completion with
   replies delivered, and the server exits once its queue is empty.  The op
-  is idempotent and available to every envelope version.
+  is idempotent.
 """
 
 from __future__ import annotations
@@ -81,7 +70,6 @@ __all__ = [
     "decode_frame_payload",
     "encode_frame",
     "error_envelope",
-    "parse_envelope",
     "parse_frame_header",
     "reply_envelope",
     "request_envelope",
@@ -90,10 +78,9 @@ __all__ = [
 #: Version tag embedded in every serialised response.
 SCHEMA_VERSION = 1
 
-#: Wire-envelope version: 2 adds request ids and ``op``/``reply`` framing,
-#: 3 adds the binary frame carrier (:func:`encode_frame`).  Version-1
-#: envelopes (no ``v`` field) are still accepted everywhere, and every
-#: version may arrive on the JSON line carrier.
+#: Wire-protocol version: the only one a server accepts, carried in every
+#: envelope's ``v`` field and always on the binary frame carrier
+#: (:func:`encode_frame`).
 PROTOCOL_VERSION = 3
 
 #: Structured error codes carried in error replies (the ``code`` field).
@@ -112,25 +99,16 @@ ERROR_DRAINING = "draining"
 
 
 def request_envelope(
-    op: str,
-    *,
-    request_id: object = None,
-    version: int | None = None,
-    **fields: object,
+    op: str, *, request_id: object = None, **fields: object
 ) -> dict[str, object]:
     """Build one request envelope of the wire protocol.
 
     ``request_id`` (any JSON scalar) tags the request so its reply can be
-    matched out of order; omitting it produces a version-1 style envelope
-    whose reply arrives in order on the connection.  ``version`` caps the
-    declared protocol version — a client that negotiated down to an older
-    server declares the *common* version so the peer's envelope check
-    accepts it.
+    matched out of order.  The server rejects untagged envelopes, so leave
+    it out only when the sender stamps the id per attempt (as
+    :class:`~repro.serve.distributed.RemoteSession` does).
     """
-    envelope: dict[str, object] = {
-        "v": PROTOCOL_VERSION if version is None else int(version),
-        "op": op,
-    }
+    envelope: dict[str, object] = {"v": PROTOCOL_VERSION, "op": op}
     if request_id is not None:
         envelope["id"] = request_id
     envelope.update(fields)
@@ -155,7 +133,7 @@ def error_envelope(
     request_id: object = None,
     code: str | None = None,
 ) -> dict[str, object]:
-    """Build an error reply (every failure becomes a reply, never a dropped line).
+    """Build an error reply (a failure becomes a reply, never a dropped message).
 
     ``code`` attaches a machine-readable error code (:data:`ERROR_OVERLOADED`,
     :data:`ERROR_DEADLINE_EXCEEDED`, :data:`ERROR_CANCELLED`) so clients can
@@ -174,43 +152,32 @@ def error_envelope(
     return envelope
 
 
-def parse_envelope(line: str) -> dict[str, object]:
-    """Parse one wire line into an envelope mapping.
-
-    Raises :class:`ValueError` on malformed JSON, non-object lines and
-    envelope versions newer than this build understands, so the server can
-    turn every protocol violation into an error reply.
-    """
-    try:
-        message = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed request line: {exc}") from None
-    if not isinstance(message, dict):
-        raise ValueError("request line must be a JSON object")
-    return validate_envelope(message)
-
-
 def validate_envelope(message: dict[str, object]) -> dict[str, object]:
-    """Apply the envelope version bounds to an already-decoded mapping.
+    """Check a decoded request envelope: protocol 3, tagged with an ``id``.
 
-    Shared by both carriers: :func:`parse_envelope` (JSON lines) and frame
-    readers (:func:`decode_frame_payload` output) funnel through the same
-    check, so a peer newer than this build fails identically either way.
+    Raises :class:`ValueError` otherwise; the server turns that into a
+    structured error reply (echoing the ``id`` when there is one) and keeps
+    serving the connection.
     """
-    version = message.get("v", 1)
-    if not isinstance(version, int) or not 1 <= version <= PROTOCOL_VERSION:
+    version = message.get("v")
+    if version != PROTOCOL_VERSION:
         raise ValueError(
             f"unsupported protocol version {version!r} "
-            f"(this build speaks 1..{PROTOCOL_VERSION})"
+            f"(this build speaks {PROTOCOL_VERSION} only)"
+        )
+    if message.get("id") is None:
+        raise ValueError(
+            'request envelope has no "id"; every request must be tagged'
         )
     return message
 
 
-# -- binary frame carrier (protocol v3) ---------------------------------------------
+# -- binary frame carrier -----------------------------------------------------------
 
 #: First bytes of every binary frame.  ``0x93`` is a UTF-8 continuation
-#: byte, so it can never start a JSON line — one peeked byte tells a reader
-#: which carrier the next message uses.
+#: byte, so it can never start a JSON text: the server peeks one byte per
+#: message and answers a peer that sends anything but a frame (an old
+#: JSON-line client) with one error frame before hanging up.
 FRAME_MAGIC = b"\x93RF3"
 
 #: Fixed frame header: magic, metadata length (u32), payload length (u64),
@@ -219,9 +186,8 @@ FRAME_MAGIC = b"\x93RF3"
 _FRAME_HEADER = struct.Struct("<4sIQ")
 FRAME_HEADER_SIZE = _FRAME_HEADER.size
 
-#: Largest accepted frame (header + metadata + payload).  Mirrors the
-#: server's JSON line limit: big enough for production batches, small
-#: enough to bound a misbehaving peer.
+#: Largest accepted frame (header + metadata + payload): big enough for
+#: production batches, small enough to bound a misbehaving peer.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: Array dtypes allowed on the wire: everything numeric crosses as either
@@ -379,8 +345,7 @@ def decode_frame_payload(meta: bytes, payload: bytes | memoryview) -> dict[str, 
     :class:`memoryview` to avoid even the slice copies).  Every structural
     violation — malformed metadata JSON, unknown dtypes, descriptors
     pointing outside the payload — raises :class:`ValueError` with a message
-    naming the problem, exactly like :func:`parse_envelope` does for JSON
-    lines.
+    naming the problem.
     """
     try:
         decoded = json.loads(bytes(meta).decode("utf-8"))
@@ -630,7 +595,7 @@ class InferenceRequest:
         )
 
     def to_json(self) -> str:
-        """Serialise to a JSON string (the chip server's wire format)."""
+        """Serialise to a JSON string."""
         return json.dumps(self.to_dict())
 
     @classmethod

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.datasets import make_dataset
+from repro.serve.schema import (
+    FRAME_HEADER_SIZE,
+    decode_frame_payload,
+    encode_frame,
+    parse_frame_header,
+)
 from repro.snn import AvgPool2D, Conv2D, Dense, Flatten, Network, SpikingSimulator, convert_to_snn
 from repro.utils.rng import seeded_rng
 
@@ -59,3 +67,27 @@ def traced_small_mlp(small_mlp, rng):
     simulator = SpikingSimulator(timesteps=12, encoder="deterministic")
     result = simulator.run(snn, inputs[:4])
     return snn, result.trace
+
+
+def _send_frame(stream, envelope: dict) -> None:
+    stream.write(encode_frame(envelope))
+    stream.flush()
+
+
+def _read_frame(stream) -> dict:
+    header = stream.read(FRAME_HEADER_SIZE)
+    assert len(header) == FRAME_HEADER_SIZE, "truncated frame header"
+    meta_len, payload_len = parse_frame_header(header)
+    return decode_frame_payload(stream.read(meta_len), stream.read(payload_len))
+
+
+@pytest.fixture
+def frame_io():
+    """Raw protocol-3 frame I/O on a blocking socket stream (``makefile("rwb")``).
+
+    ``frame_io.send(stream, envelope)`` writes one envelope as a binary frame
+    and flushes; ``frame_io.read(stream)`` reads one frame back and returns
+    its envelope.  Tests that speak the wire protocol by hand use this pair
+    instead of a client, so the server is checked byte for byte.
+    """
+    return SimpleNamespace(send=_send_frame, read=_read_frame)

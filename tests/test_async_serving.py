@@ -5,9 +5,8 @@ Four seams of the PR-4 refactor, each held to the established parity bar
 returns — parallelism, pipelining and coalescing may change throughput,
 never numbers):
 
-* the **wire protocol**: version-2 envelopes with request ids allow several
-  requests in flight per connection, while untagged version-1 lines keep
-  their strict in-order replies;
+* the **wire protocol**: envelopes tagged with request ids allow several
+  requests in flight per connection;
 * the **pool's** :meth:`~repro.serve.ChipPool.infer_many` dynamic-batching
   seam: many requests coalesce into one executor dispatch and split back
   per request, exactly;
@@ -20,7 +19,6 @@ never numbers):
 
 from __future__ import annotations
 
-import json
 import re
 import socket
 import threading
@@ -47,6 +45,7 @@ from repro.serve.schema import (
     ERROR_DEADLINE_EXCEEDED,
     ERROR_OVERLOADED,
     PROTOCOL_VERSION,
+    encode_frame,
     request_envelope,
 )
 from repro.snn import Dense, Network, convert_to_snn
@@ -121,7 +120,7 @@ class TestWireProtocol:
             yield server
 
     def test_tagged_requests_pipeline_on_one_connection(
-        self, served_session, workload, single_session
+        self, served_session, workload, single_session, frame_io
     ):
         _, _, inputs, _ = workload
         first = InferenceRequest(inputs=inputs[:4])
@@ -129,14 +128,15 @@ class TestWireProtocol:
         with socket.create_connection(served_session.address, timeout=30) as raw:
             stream = raw.makefile("rwb")
             # Both requests go out before either reply is read: the server
-            # must accept the pipelined lines and tag each reply with its id.
+            # must accept the pipelined frames and tag each reply with its id.
             for request_id, request in [("a", first), ("b", second)]:
-                line = request_envelope(
-                    "infer", request_id=request_id, request=request.to_dict()
+                frame_io.send(
+                    stream,
+                    request_envelope(
+                        "infer", request_id=request_id, request=request.to_wire_dict()
+                    ),
                 )
-                stream.write(json.dumps(line).encode() + b"\n")
-            stream.flush()
-            replies = [json.loads(stream.readline()) for _ in range(2)]
+            replies = [frame_io.read(stream) for _ in range(2)]
         by_id = {reply["id"]: reply for reply in replies}
         assert set(by_id) == {"a", "b"}
         for reply in replies:
@@ -152,36 +152,22 @@ class TestWireProtocol:
         )
         np.testing.assert_array_equal(expected.predictions, merged)
 
-    def test_untagged_v1_lines_still_answered_in_order(self, served_session):
+    def test_unsupported_protocol_version_rejected(self, served_session, frame_io):
         with socket.create_connection(served_session.address, timeout=30) as raw:
             stream = raw.makefile("rwb")
-            stream.write(b'{"op": "ping"}\n{"op": "info"}\n')
-            stream.flush()
-            ping = json.loads(stream.readline())
-            info = json.loads(stream.readline())
-        assert ping["ok"] is True and ping["pong"] is True
-        assert "id" not in ping
-        assert info["ok"] is True
-        assert info["info"]["workload"] == "wire-test"
-        assert info["info"]["protocol_version"] == PROTOCOL_VERSION
-
-    def test_unsupported_protocol_version_rejected(self, served_session):
-        with socket.create_connection(served_session.address, timeout=30) as raw:
-            stream = raw.makefile("rwb")
-            stream.write(b'{"v": 99, "op": "ping", "id": 1}\n')
-            stream.flush()
-            reply = json.loads(stream.readline())
+            frame_io.send(stream, {"v": 99, "op": "ping", "id": 1})
+            reply = frame_io.read(stream)
         assert reply["ok"] is False
         assert "unsupported protocol version" in reply["error"]
         # The error reply must stay routable: a pipelined client matches
-        # replies by id, and the bad line still carried one.
+        # replies by id, and the bad frame still carried one.
         assert reply["id"] == 1
         assert reply["reply"] == "ping"
 
-    def test_large_request_lines_cross_the_wire(self, served_session, single_session):
-        # A production batch serialises to hundreds of kilobytes per line —
+    def test_large_request_frames_cross_the_wire(self, served_session, single_session):
+        # A production batch serialises to hundreds of kilobytes per frame —
         # far past the stdlib stream default of 64 KiB.  Regression test for
-        # the server's raised line limit.
+        # the server's raised stream-reader limit.
         rng = np.random.default_rng(4)
         request = InferenceRequest(inputs=rng.random((600, 48)))
         expected = single_session.infer(request)
@@ -747,10 +733,12 @@ class TestLoadControl:
         assert final["stats"]["requests"] == 1
         assert gate.dispatches == [1], "cancelled request was still dispatched"
 
-    def test_cancel_yields_structured_cancelled_reply_on_the_wire(self, workload):
+    def test_cancel_yields_structured_cancelled_reply_on_the_wire(
+        self, workload, frame_io
+    ):
         # The raw protocol view of cancellation: the cancelled infer's reply
         # is a structured error carrying code "cancelled" (not a dropped
-        # line), and the cancel op acknowledges with cancelled=true.
+        # message), and the cancel op acknowledges with cancelled=true.
         _, _, inputs, _ = workload
         gate = _GateTarget(_fresh_session(workload))
         head = InferenceRequest(inputs=inputs[:2])
@@ -758,27 +746,30 @@ class TestLoadControl:
         with ChipServer(gate, port=0, workload="cancel-wire").start() as server:
             with socket.create_connection(server.address, timeout=30) as raw:
                 stream = raw.makefile("rwb")
-
-                def send(envelope):
-                    stream.write(json.dumps(envelope).encode() + b"\n")
-                    stream.flush()
-
-                send(request_envelope("infer", request_id="a", request=head.to_dict()))
+                frame_io.send(
+                    stream,
+                    request_envelope("infer", request_id="a", request=head.to_wire_dict()),
+                )
                 assert gate.entered.wait(timeout=10), "head dispatch never ran"
-                send(
-                    request_envelope("infer", request_id="b", request=queued.to_dict())
+                frame_io.send(
+                    stream,
+                    request_envelope(
+                        "infer", request_id="b", request=queued.to_wire_dict()
+                    ),
                 )
                 deadline = time.monotonic() + 10
                 while server._backlog < 1:  # noqa: SLF001 - in-process observation
                     assert time.monotonic() < deadline, "request b never queued"
                     time.sleep(0.005)
-                send(request_envelope("cancel", request_id="c", target="b"))
+                frame_io.send(
+                    stream, request_envelope("cancel", request_id="c", target="b")
+                )
                 replies = {
                     reply["id"]: reply
-                    for reply in (json.loads(stream.readline()) for _ in range(2))
+                    for reply in (frame_io.read(stream) for _ in range(2))
                 }
                 gate.release.set()
-                final = json.loads(stream.readline())
+                final = frame_io.read(stream)
         assert set(replies) == {"b", "c"}
         assert replies["c"]["ok"] is True and replies["c"]["cancelled"] is True
         assert replies["b"]["ok"] is False
@@ -787,7 +778,7 @@ class TestLoadControl:
         assert final["id"] == "a" and final["ok"] is True
 
     def test_cancel_after_dispatch_reports_false_and_delivers_result(
-        self, workload, single_session
+        self, workload, single_session, frame_io
     ):
         # Dispatch wins: once a request is on the work thread, cancel must
         # report false, the computed result must still be delivered, and
@@ -798,24 +789,17 @@ class TestLoadControl:
         with ChipServer(gate, port=0, workload="dispatch-wins").start() as server:
             with socket.create_connection(server.address, timeout=30) as raw:
                 stream = raw.makefile("rwb")
-                stream.write(
-                    json.dumps(
-                        request_envelope("infer", request_id="a", request=head.to_dict())
-                    ).encode()
-                    + b"\n"
+                frame_io.send(
+                    stream,
+                    request_envelope("infer", request_id="a", request=head.to_wire_dict()),
                 )
-                stream.flush()
                 assert gate.entered.wait(timeout=10), "head dispatch never ran"
-                stream.write(
-                    json.dumps(
-                        request_envelope("cancel", request_id="c", target="a")
-                    ).encode()
-                    + b"\n"
+                frame_io.send(
+                    stream, request_envelope("cancel", request_id="c", target="a")
                 )
-                stream.flush()
-                cancel_reply = json.loads(stream.readline())
+                cancel_reply = frame_io.read(stream)
                 gate.release.set()
-                infer_reply = json.loads(stream.readline())
+                infer_reply = frame_io.read(stream)
                 final = server.stats.copy()
         assert cancel_reply["id"] == "c"
         assert cancel_reply["ok"] is True and cancel_reply["cancelled"] is False
@@ -827,16 +811,16 @@ class TestLoadControl:
         assert final["cancelled"] == 0
         assert final["requests"] == 1
 
-    def test_cancel_op_with_unknown_target_reports_false(self, workload):
+    def test_cancel_op_with_unknown_target_reports_false(self, workload, frame_io):
         with ChipServer(
             _fresh_session(workload), port=0, workload="cancel-miss"
         ).start() as server:
             with socket.create_connection(server.address, timeout=10) as raw:
                 stream = raw.makefile("rwb")
-                envelope = request_envelope("cancel", request_id=1, target=999)
-                stream.write(json.dumps(envelope).encode() + b"\n")
-                stream.flush()
-                reply = json.loads(stream.readline())
+                frame_io.send(
+                    stream, request_envelope("cancel", request_id=1, target=999)
+                )
+                reply = frame_io.read(stream)
         assert reply["ok"] is True
         assert reply["cancelled"] is False
         assert reply["target"] == 999
@@ -845,8 +829,8 @@ class TestLoadControl:
 # -- structured error replies (client side) ------------------------------------------
 
 
-def _canned_reply_server(reply_line: bytes):
-    """A one-shot fake server answering every request line with ``reply_line``."""
+def _canned_reply_server(reply: dict, frame_io):
+    """A one-shot fake server answering one request frame with ``reply``."""
     srv = socket.create_server(("127.0.0.1", 0))
 
     def run():
@@ -856,22 +840,22 @@ def _canned_reply_server(reply_line: bytes):
             return
         with conn:
             stream = conn.makefile("rwb")
-            while True:
-                line = stream.readline()
-                if not line:
-                    return
-                stream.write(reply_line + b"\n")
-                stream.flush()
+            frame_io.read(stream)
+            frame_io.send(stream, reply)
 
     threading.Thread(target=run, daemon=True).start()
     return srv
 
 
 class TestStructuredErrorReplies:
-    def test_remote_session_raises_on_structured_error(self):
+    def test_remote_session_raises_on_structured_error(self, frame_io):
         srv = _canned_reply_server(
-            b'{"ok": false, "error": "server queue is full; request shed", '
-            b'"code": "overloaded"}'
+            {
+                "ok": False,
+                "error": "server queue is full; request shed",
+                "code": "overloaded",
+            },
+            frame_io,
         )
         try:
             remote = RemoteSession(*srv.getsockname()[:2], timeout=10, retries=0)
@@ -882,10 +866,10 @@ class TestStructuredErrorReplies:
         finally:
             srv.close()
 
-    def test_remote_session_raises_on_unknown_error_shape(self):
+    def test_remote_session_raises_on_unknown_error_shape(self, frame_io):
         # An error reply with no message and no code must still raise —
         # never hang, never be mistaken for success.
-        srv = _canned_reply_server(b'{"ok": false}')
+        srv = _canned_reply_server({"ok": False}, frame_io)
         try:
             remote = RemoteSession(*srv.getsockname()[:2], timeout=10, retries=0)
             with pytest.raises(RemoteServerError, match="unknown server error") as excinfo:
@@ -1031,7 +1015,7 @@ class TestReconnect:
         # reading the acknowledgement; the stop must not be lost with it.
         server = ChipServer(_fresh_session(workload), port=0, workload="ff").start()
         with socket.create_connection(server.address, timeout=10) as raw:
-            raw.sendall(b'{"op": "shutdown"}\n')
+            raw.sendall(encode_frame(request_envelope("shutdown", request_id=1)))
         deadline = time.monotonic() + 10
         while server._thread.is_alive() and time.monotonic() < deadline:
             time.sleep(0.02)

@@ -12,7 +12,6 @@ endpoints.
 
 from __future__ import annotations
 
-import json
 import socket
 
 import numpy as np
@@ -31,6 +30,7 @@ from repro.serve.distributed import (
     make_executor,
     parse_endpoint,
 )
+from repro.serve.schema import request_envelope
 from repro.snn import Dense, Network, convert_to_snn
 
 ENERGY_RTOL = 1e-9
@@ -209,7 +209,7 @@ class TestServerClient:
             response = remote.infer(InferenceRequest(inputs=inputs, labels=labels))
         assert response.jobs == 2
         _assert_responses_identical(single_response, response)
-        # The JSON wire round trip is lossless, so the float counters and
+        # The frame round trip is lossless, so the float counters and
         # energy components are not just close — they are bit-identical.
         assert response.counters.as_dict() == pytest.approx(
             single_response.counters.as_dict(), rel=ENERGY_RTOL
@@ -232,27 +232,28 @@ class TestServerClient:
             second = remote.infer(InferenceRequest(inputs=inputs[:3]))
         np.testing.assert_array_equal(first.predictions, second.predictions)
 
-    def test_server_error_replies(self, served_pool):
+    def test_server_error_replies(self, served_pool, frame_io):
         host, port = served_pool.address
         with socket.create_connection((host, port), timeout=10) as raw:
             stream = raw.makefile("rwb")
-            for line, fragment in [
-                (b"this is not json", b"malformed request line"),
-                (b"[1, 2, 3]", b"must be a JSON object"),
-                (b'{"op": "warp"}', b"unknown op"),
-                (b'{"op": "infer"}', b"request"),
-                (b'{"op": "infer", "request": {"bogus": 1}}', b"missing required"),
+            for envelope, fragment in [
+                (request_envelope("warp", request_id=1), "unknown op"),
+                (request_envelope("infer", request_id=2), "request"),
+                (
+                    request_envelope("infer", request_id=3, request={"bogus": 1}),
+                    "missing required",
+                ),
             ]:
-                stream.write(line + b"\n")
-                stream.flush()
-                reply = json.loads(stream.readline())
+                frame_io.send(stream, envelope)
+                reply = frame_io.read(stream)
                 assert reply["ok"] is False
-                assert fragment.decode() in reply["error"], reply["error"]
+                assert reply["id"] == envelope["id"]
+                assert fragment in reply["error"], reply["error"]
 
     def test_client_raises_remote_server_error(self, served_pool):
         with RemoteSession.connect(served_pool.endpoint) as remote:
             with pytest.raises(RemoteServerError, match="unknown op"):
-                remote._call({"op": "time-travel"})
+                remote._call(request_envelope("time-travel"))
 
     def test_concurrent_clients_on_bare_structural_session(self, workload):
         # A bare ChipSession is not thread-safe (the structural backend
