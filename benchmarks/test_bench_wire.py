@@ -11,7 +11,7 @@ the perf trajectory across PRs is inspectable:
   256.  Pure CPU, machine-independent ordering: the binary codec must be
   >= 5x cheaper than the JSON codec.
 * **end-to-end** — a real `ChipServer` on localhost answering the same
-  request over a `RemoteSession`.  Overhead is the round-trip wall time
+  request over a one-connection `PipelinedSession`.  Overhead is the round-trip wall time
   minus local chip compute; the acceptance bar is binary overhead under
   ~10% of chip compute *or* >= 5x cheaper than the JSON text codec's
   in-process `to_json`/`from_json` round trip of the same request and
@@ -35,7 +35,7 @@ import pytest
 
 from repro.core import ArchitectureConfig
 from repro.serve import ChipSession, InferenceRequest, InferenceResponse
-from repro.serve.distributed import ChipServer, RemoteSession
+from repro.serve.distributed import ChipServer, PipelinedSession
 from repro.snn import Dense, Network, convert_to_snn
 
 BATCH = 256
@@ -142,7 +142,7 @@ def test_bench_wire_end_to_end_overhead(wire_workload, persist_result):
     expected = local.infer(request)
 
     with ChipServer(_session(snn, config), port=0, workload="wire-bench").start() as server:
-        with RemoteSession.connect(server.address) as remote:
+        with PipelinedSession.connect(server.address, connections=1) as remote:
             binary_s = _best(lambda: remote.infer(request))
             got = remote.infer(request)
 

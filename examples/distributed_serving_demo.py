@@ -8,7 +8,7 @@ verifying at each rung that the answer never changes:
    programmed chip per worker process, shard arrays shipped through shared
    memory,
 3. a socket :class:`~repro.serve.distributed.ChipServer` on localhost with a
-   :class:`~repro.serve.distributed.RemoteSession` client — the same
+   :class:`~repro.serve.distributed.PipelinedSession` client — the same
    request and response as protocol-3 binary frames over TCP,
 4. an :class:`~repro.serve.distributed.InferenceGateway` fanning one batch
    across the remote server *and* a local pool with capacity-weighted
@@ -30,7 +30,7 @@ from repro.serve.distributed import (
     ChipServer,
     GatewayEndpoint,
     InferenceGateway,
-    RemoteSession,
+    PipelinedSession,
 )
 from repro.snn import Dense, Network, Trainer, convert_to_snn
 from repro.utils.units import format_energy
@@ -94,7 +94,7 @@ def main() -> None:
         snn, jobs=2, config=config, timesteps=16, encoder="poisson", seed=7
     )
     with ChipServer(server_pool, port=0, workload="demo-mlp").start() as server:
-        with RemoteSession.connect(server.endpoint) as remote:
+        with PipelinedSession.connect(server.endpoint) as remote:
             info = remote.info()
             served = remote.infer(request)
             print(

@@ -43,7 +43,7 @@ __all__ = ["ExperimentSettings", "WorkloadContext", "PreparedWorkload"]
 
 #: Per-request deadline for remote chip runs: a wedged server (accepts the
 #: connection but never answers) must fail the run, not hang it forever.
-#: Matches the historical RemoteSession socket-timeout default.
+#: Matches the ``PipelinedSession`` establishment-timeout default.
 REMOTE_DEADLINE_S = 120.0
 
 
@@ -228,12 +228,20 @@ class WorkloadContext:
         if self.settings.chip_endpoint is None:
             return None
         if self._served_workload is None:
-            from repro.serve.distributed import RemoteSession, split_endpoints
+            from repro.serve.distributed import PipelinedSession, split_endpoints
 
             first = split_endpoints(self.settings.chip_endpoint)[0]
-            with RemoteSession.connect(first) as remote:
-                self._served_workload = str(remote.info().get("workload", "custom"))
+            deadline_s = self._remote_deadline_s()
+            with PipelinedSession.connect(first, timeout=deadline_s) as remote:
+                info = remote.info(timeout=deadline_s)
+                self._served_workload = str(info.get("workload", "custom"))
         return self._served_workload
+
+    def _remote_deadline_s(self) -> float:
+        """Bound on every remote wait: ``chip_deadline_s`` or the default."""
+        if self.settings.chip_deadline_s is not None:
+            return self.settings.chip_deadline_s
+        return REMOTE_DEADLINE_S
 
     # -- architecture evaluations -----------------------------------------------------
 
@@ -353,11 +361,7 @@ class WorkloadContext:
         )
 
         endpoints = split_endpoints(endpoint)
-        deadline_s = (
-            self.settings.chip_deadline_s
-            if self.settings.chip_deadline_s is not None
-            else REMOTE_DEADLINE_S
-        )
+        deadline_s = self._remote_deadline_s()
         remotes: list[PipelinedSession] = []
         gateway: InferenceGateway | None = None
         try:

@@ -194,7 +194,6 @@ def _partition_split_windows(
     positions = layer.window_positions
 
     row_splits = math.ceil(fan_in / rows)
-    column_splits = math.ceil(outputs_per_window / columns)
 
     full_rows, row_remainder = divmod(fan_in, rows)
     full_columns, column_remainder = divmod(outputs_per_window, columns)

@@ -11,10 +11,10 @@ identical to a single local :class:`~repro.serve.ChipSession`:
 * **server/client** (:mod:`~repro.serve.distributed.server` /
   :mod:`~repro.serve.distributed.client`) — an :mod:`asyncio` chip daemon
   answering protocol-3 binary frames with pipelined request ids and
-  cross-client dynamic batching, :class:`RemoteSession`, which gives a chip
-  on another host the ``ChipSession`` surface (with reconnect-and-retry
-  across server restarts), and :class:`PipelinedSession`, which keeps many
-  tagged requests in flight over a small connection pool.
+  cross-client dynamic batching, and :class:`PipelinedSession`, which gives
+  a chip on another host the ``ChipSession`` surface, keeps many tagged
+  requests in flight over a small connection pool, and resends across
+  server restarts within a retry budget.
 * **gateway** (:mod:`~repro.serve.distributed.gateway`) — fans a batch out
   across several endpoints (local pools and/or remote sessions) with
   capacity-weighted sharding and an exact streaming merge;
@@ -42,7 +42,6 @@ from repro.serve.distributed.client import (
     CancellableFuture,
     PipelinedSession,
     RemoteServerError,
-    RemoteSession,
     parse_endpoint,
     split_endpoints,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "PipelinedSession",
     "ProcessExecutor",
     "RemoteServerError",
-    "RemoteSession",
     "ServeRejection",
     "ServingWorkload",
     "SessionSpec",

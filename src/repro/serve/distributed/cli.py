@@ -58,7 +58,6 @@ import numpy as np
 from repro.serve.distributed.client import (
     PipelinedSession,
     RemoteServerError,
-    RemoteSession,
     parse_endpoint,
 )
 from repro.serve.distributed.executors import EXECUTORS, SessionSpec
@@ -172,7 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=120.0,
-        help="per-request socket timeout in seconds (size for the batch)",
+        help="seconds to wait for the connection and for each reply "
+        "(size for the batch)",
     )
     infer.add_argument(
         "--deadline",
@@ -188,8 +188,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="attach a retry budget of N total attempts to the request "
-        "(reconnects back off with jitter and stop with a structured "
-        "budget-exhausted error; omit for the legacy single-retry path)",
+        "(resends after a dead connection back off with jitter and stop "
+        "with a structured budget-exhausted error; omit for the client's "
+        "default of 2 attempts)",
     )
 
     smoke = sub.add_parser(
@@ -202,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--timeout",
         type=float,
         default=120.0,
-        help="per-request socket timeout in seconds",
+        help="seconds to wait for the connection and for each reply",
     )
     smoke.add_argument(
         "--boot-timeout",
@@ -437,7 +438,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _client_inference(
-    remote: RemoteSession, args: argparse.Namespace
+    remote: PipelinedSession, args: argparse.Namespace
 ) -> tuple[InferenceRequest, object]:
     workload = load_benchmark_workload(args.workload, scale=args.scale, seed=args.seed)
     n = min(args.samples, len(workload.test_inputs))
@@ -448,12 +449,15 @@ def _client_inference(
     if retry_attempts is not None:
         request = request.with_retry_budget(RetryBudget(retry_attempts))
     deadline_s = getattr(args, "deadline", None)
-    return request, remote.infer(request, deadline_s=deadline_s)
+    future = remote.submit(request, deadline_s=deadline_s)
+    return request, future.result(timeout=args.timeout)
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
-    with RemoteSession.connect(args.endpoint, timeout=args.timeout) as remote:
-        info = remote.info()
+    with PipelinedSession.connect(
+        args.endpoint, connections=1, timeout=args.timeout
+    ) as remote:
+        info = remote.info(timeout=args.timeout)
         print(f"server    : {info}")
         request, response = _client_inference(remote, args)
         print(f"predictions: {response.predictions.tolist()}")
@@ -513,7 +517,7 @@ def _connect_to_booting_server(
     address: tuple[str, int],
     boot_timeout: float,
     timeout: float,
-) -> RemoteSession:
+) -> PipelinedSession:
     """Retry-connect while the server boots, failing fast if it dies."""
     deadline = time.monotonic() + boot_timeout
     while True:
@@ -523,8 +527,9 @@ def _connect_to_booting_server(
                 f"accepting connections"
             )
         try:
-            return RemoteSession.connect(
+            return PipelinedSession.connect(
                 address,
+                connections=1,
                 timeout=timeout,
                 wait=min(0.5, max(0.0, deadline - time.monotonic())),
             )
@@ -535,7 +540,7 @@ def _connect_to_booting_server(
 
 def _smoke_pipelined_clients(
     address: tuple[str, int],
-    remote: RemoteSession,
+    remote: PipelinedSession,
     request: InferenceRequest,
     timeout: float,
     clients: int = 2,
@@ -552,7 +557,10 @@ def _smoke_pipelined_clients(
         labels=request.labels,
         sample_offset=request.batch_size,
     )
-    serial = {0: remote.infer(request), 1: remote.infer(shifted)}
+    serial = {
+        0: remote.submit(request).result(timeout=timeout),
+        1: remote.submit(shifted).result(timeout=timeout),
+    }
     sessions = [
         PipelinedSession.connect(address, connections=1, timeout=timeout)
         for _ in range(clients)
@@ -586,7 +594,7 @@ def _smoke_pipelined_clients(
     finally:
         for session in sessions:
             session.close()
-    stats = remote.info(refresh=True).get("stats", {})
+    stats = remote.info(refresh=True, timeout=timeout).get("stats", {})
     print(
         f"smoke: {len(futures)} pipelined requests over {clients} clients ok "
         f"(server stats: {stats})",
@@ -635,7 +643,7 @@ _SMOKE_REQUIRED_SERIES = (
 )
 
 
-def _smoke_metrics(remote: RemoteSession) -> None:
+def _smoke_metrics(remote: PipelinedSession, timeout: float) -> None:
     """Scrape the metrics op + Prometheus endpoint; both must agree.
 
     The server was booted with ``--metrics-port 0``, so ``info`` carries
@@ -644,10 +652,10 @@ def _smoke_metrics(remote: RemoteSession) -> None:
     the wire op's rendered text must equal an HTTP scrape of the same
     snapshot (they are the same registry by construction).
     """
-    info = remote.info(refresh=True)
+    info = remote.info(refresh=True, timeout=timeout)
     endpoint = info.get("metrics_endpoint")
     assert endpoint, f"server info lacks the metrics endpoint: {info}"
-    payload = remote.metrics()
+    payload = remote.metrics(timeout=timeout)
     assert payload["schema_version"] == 1, f"unexpected metrics schema: {payload}"
     text = payload["text"]
     for series in _SMOKE_REQUIRED_SERIES:
@@ -674,7 +682,7 @@ def _smoke_metrics(remote: RemoteSession) -> None:
         assert series in scraped, f"Prometheus endpoint lacks {series}"
     # Counters may advance between the two reads; re-render via the op and
     # compare against a fresh scrape taken while the server is idle.
-    fresh = remote.metrics()
+    fresh = remote.metrics(timeout=timeout)
     scraped = (
         urllib.request.urlopen(f"http://{endpoint}/metrics", timeout=30)
         .read()
@@ -862,8 +870,8 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
             with _connect_to_booting_server(
                 proc, address, args.boot_timeout, args.timeout
             ) as remote:
-                assert remote.ping(), "server did not answer ping"
-                info = remote.info()
+                assert remote.ping(timeout=args.timeout), "server did not answer ping"
+                info = remote.info(timeout=args.timeout)
                 assert info["protocol_version"] == PROTOCOL_VERSION, (
                     f"server speaks protocol v{info['protocol_version']}, "
                     f"this client v{PROTOCOL_VERSION}"
@@ -888,7 +896,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
                     flush=True,
                 )
                 request, first = _client_inference(remote, args)
-                again = remote.infer(request)
+                again = remote.submit(request).result(timeout=args.timeout)
                 assert first.batch_size == request.batch_size
                 assert len(first.predictions) == request.batch_size
                 assert first.energy.total_j > 0, "served response carries no energy"
@@ -904,7 +912,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
                     flush=True,
                 )
                 _smoke_pipelined_clients(address, remote, request, args.timeout)
-                _smoke_metrics(remote)
+                _smoke_metrics(remote, args.timeout)
                 remote.shutdown_server()
             returncode = proc.wait(timeout=30)
             assert returncode == 0, f"server exited with {returncode}"

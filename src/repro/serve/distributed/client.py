@@ -1,27 +1,22 @@
-"""Remote chip clients: the ``ChipSession`` surface over a socket.
+"""Remote chip client: the ``ChipSession`` surface over a socket.
 
-Two client shapes speak the chip server's wire protocol (see
-:mod:`repro.serve.schema` for the envelope and the binary frame):
+:class:`PipelinedSession` speaks the chip server's wire protocol (see
+:mod:`repro.serve.schema` for the envelope and the binary frame) over a
+small pool of connections, each carrying many tagged requests in flight at
+once.  :meth:`PipelinedSession.submit` returns a
+:class:`concurrent.futures.Future` immediately, so callers overlap network
+and compute (and give the server's dynamic batcher something to coalesce);
+the blocking :meth:`PipelinedSession.infer` /
+:meth:`PipelinedSession.infer_many` adapters sit on top.  Requests caught
+on a connection that dies are resent within a
+:class:`~repro.serve.retry.RetryBudget` (inference is a pure function of
+the request, so a resend is safe).
 
-* :class:`RemoteSession` — one connection, strict request/reply, the same
-  ``infer(InferenceRequest) -> InferenceResponse`` contract as a local
-  :class:`~repro.serve.ChipSession`.  Idempotent ops (``ping`` / ``info`` /
-  ``infer`` — inference is a pure function of the request) transparently
-  reconnect and retry once when the server restarts under the session.
-* :class:`PipelinedSession` — the async/pipelined mode: a small pool of
-  connections, each carrying many tagged requests in flight at once.
-  :meth:`PipelinedSession.submit` returns a
-  :class:`concurrent.futures.Future` immediately, so callers overlap
-  network and compute (and give the server's dynamic batcher something to
-  coalesce); the blocking :meth:`PipelinedSession.infer` /
-  :meth:`PipelinedSession.infer_many` adapters sit on top.
-
-Both clients speak protocol-3 binary frames from the first byte: raw
-little-endian array payloads instead of number-by-number text.
-
-Both clients are drop-in gateway endpoints (they expose ``capacity`` /
-``backend`` / ``timesteps`` from the server's ``info``), and both return
-responses bit-identical to a local run — the wire round trip is lossless.
+The client speaks protocol-3 binary frames from the first byte: raw
+little-endian array payloads instead of number-by-number text.  It is a
+drop-in gateway endpoint (it exposes ``capacity`` / ``backend`` /
+``timesteps`` from the server's ``info``), and its responses are
+bit-identical to a local run — the wire round trip is lossless.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ import threading
 import time
 from concurrent.futures import Future, InvalidStateError
 
-from repro.serve.retry import RetryBudget, RetryBudgetExhausted, retry_backoff
+from repro.serve.retry import RetryBudget
 from repro.serve.schema import (
     FRAME_HEADER_SIZE,
     InferenceRequest,
@@ -48,7 +43,6 @@ __all__ = [
     "CancellableFuture",
     "PipelinedSession",
     "RemoteServerError",
-    "RemoteSession",
     "parse_endpoint",
     "split_endpoints",
 ]
@@ -141,17 +135,7 @@ def _connect_with_wait(factory, wait: float):
             time.sleep(0.05)
 
 
-#: Reconnect backoff: retry *n* sleeps about ``base * 2**n`` seconds,
-#: jittered, so clients of a restarting server spread out instead of
-#: hammering the listen queue in lockstep.  Kept as a module-level name so
-#: tests (and operators) can patch the client's backoff in isolation; the
-#: policy itself is the stack-wide helper in :mod:`repro.serve.retry`.
-_retry_backoff = retry_backoff
-
-
-def _encode_message(
-    message: dict[str, object], *, buffer: bytearray | None = None
-):
+def _encode_message(message: dict[str, object]) -> bytes:
     """Serialise one request envelope to a binary frame.
 
     ``message["request"]`` may hold a live :class:`InferenceRequest`: it is
@@ -162,7 +146,7 @@ def _encode_message(
     request = payload.get("request")
     if isinstance(request, InferenceRequest):
         payload["request"] = request.to_wire_dict()
-    return encode_frame(payload, buffer=buffer)
+    return encode_frame(payload)
 
 
 def _read_exact(file, count: int) -> bytes:
@@ -190,248 +174,6 @@ def _read_frame_reply(file) -> dict[str, object]:
         return decode_frame_payload(meta, payload)
     except ValueError as exc:
         raise ConnectionError(f"corrupt reply frame: {exc}") from None
-
-
-class RemoteSession:
-    """A chip session served by a remote :class:`ChipServer`.
-
-    Parameters
-    ----------
-    host, port:
-        Server address.
-    timeout:
-        Per-request socket timeout in seconds (inference on a large batch is
-        slow; size accordingly).
-    retries:
-        Reconnect-and-resend attempts for idempotent ops after a connection
-        failure (a server restart leaves the session holding a dead socket;
-        one retry rides out a reboot).  ``0`` disables the resilience.
-        Retries back off with jitter so a rebooting server is not hammered.
-
-    The session holds one persistent connection; requests are serialised on
-    it (one message out, one message in).  Use one ``RemoteSession`` per
-    thread — or :class:`PipelinedSession` — for concurrent callers.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        timeout: float = 120.0,
-        retries: int = 1,
-    ):
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.retries = retries
-        self._socket: socket.socket | None = None
-        self._file = None
-        self._ids = itertools.count(1)
-        self._info: dict[str, object] | None = None
-        self._closed = False
-        # Reused across frame encodes: the socket write completes before
-        # the next request is serialised, so one buffer serves the session.
-        self._encode_buffer = bytearray()
-        self._connect()
-
-    @classmethod
-    def connect(
-        cls,
-        endpoint: str | tuple[str, int],
-        *,
-        timeout: float = 120.0,
-        retries: int = 1,
-        wait: float = 0.0,
-    ) -> "RemoteSession":
-        """Connect to ``"host:port"`` (or a ``(host, port)`` tuple).
-
-        ``wait`` keeps retrying for up to that many seconds while the server
-        boots (0 means a single attempt).
-        """
-        host, port = (
-            parse_endpoint(endpoint) if isinstance(endpoint, str) else endpoint
-        )
-        return _connect_with_wait(
-            lambda: cls(host, port, timeout=timeout, retries=retries),
-            wait,
-        )
-
-    # -- connection management ----------------------------------------------------
-
-    def _connect(self) -> None:
-        self._socket = socket.create_connection(
-            (self.host, self.port), timeout=self.timeout
-        )
-        self._file = self._socket.makefile("rwb")
-
-    def _drop_connection(self) -> None:
-        file, sock = self._file, self._socket
-        self._file = self._socket = None
-        try:
-            if file is not None:
-                file.close()
-        except OSError:
-            pass
-        finally:
-            if sock is not None:
-                sock.close()
-
-    # -- protocol -----------------------------------------------------------------
-
-    def _call(
-        self, message: dict[str, object], *, idempotent: bool = True
-    ) -> dict[str, object]:
-        """One request/reply round trip, reconnecting on a dead connection.
-
-        Idempotent ops are resent once per configured retry after a
-        connection-level failure (server restart, dead socket); a
-        :class:`RemoteServerError` is a *successful* round trip and is never
-        retried.  When the message carries an :class:`InferenceRequest` with
-        a :class:`RetryBudget`, that budget overrides the session's
-        ``retries`` knob: reconnect resends consume from the request's
-        shared pool and exhaustion raises :class:`RetryBudgetExhausted`.
-        """
-        if self._closed:
-            raise RuntimeError("remote session is closed")
-        budget: RetryBudget | None = None
-        carried = message.get("request")
-        if idempotent and isinstance(carried, InferenceRequest):
-            budget = carried.retry_budget
-        attempts = 1 + (self.retries if idempotent else 0)
-        last_error: Exception | None = None
-        attempt = 0
-        while True:
-            try:
-                if self._file is None:
-                    self._connect()
-                request_id = next(self._ids)
-                payload = dict(message)
-                payload["id"] = request_id
-                self._file.write(
-                    _encode_message(payload, buffer=self._encode_buffer)
-                )
-                self._file.flush()
-                reply = _read_frame_reply(self._file)
-                if reply.get("id") not in (None, request_id):
-                    raise ConnectionError(
-                        f"chip server at {self.host}:{self.port} answered request "
-                        f"{request_id} with id {reply.get('id')!r} (desynchronised "
-                        f"connection)"
-                    )
-                if not reply.get("ok"):
-                    raise _error_from_reply(reply)
-                return reply
-            except TimeoutError:
-                # A slow server is not a dead one: resending would duplicate
-                # the work and mask the real problem.  The connection is
-                # desynchronised (the late reply is still coming), so drop
-                # it, but surface the timeout as-is.
-                self._drop_connection()
-                raise
-            except (ConnectionError, OSError) as exc:
-                self._drop_connection()
-                last_error = exc
-                if budget is not None:
-                    consumed = budget.try_consume()
-                    if consumed is None:
-                        raise budget.exhausted(exc)
-                    time.sleep(budget.backoff_s(consumed))
-                elif attempt + 1 < attempts:
-                    # A restarting server needs a beat to come back; an
-                    # immediate resend just hammers the dead port and burns
-                    # the retry budget inside the boot window.
-                    time.sleep(_retry_backoff(attempt))
-                else:
-                    break
-                attempt += 1
-        assert last_error is not None
-        raise ConnectionError(
-            f"chip server at {self.host}:{self.port} unreachable after "
-            f"{attempts} attempt(s): {last_error}"
-        ) from last_error
-
-    # -- the session surface ------------------------------------------------------
-
-    def ping(self) -> bool:
-        """Round-trip a no-op message."""
-        return bool(self._call(request_envelope("ping")).get("pong"))
-
-    def info(self, refresh: bool = False) -> dict[str, object]:
-        """Server metadata: workload, backend, timesteps, jobs, capacity."""
-        if self._info is None or refresh:
-            self._info = dict(self._call(request_envelope("info"))["info"])
-        return self._info
-
-    @property
-    def capacity(self) -> int:
-        """Worker count of the remote pool (gateway sharding weight)."""
-        return int(self.info().get("capacity", 1))
-
-    @property
-    def backend(self) -> str:
-        """Execution backend of the remote chip."""
-        return str(self.info().get("backend", "unknown"))
-
-    @property
-    def timesteps(self) -> int:
-        """Default rate-coding window of the remote session."""
-        return int(self.info().get("timesteps", 0))
-
-    def infer(
-        self, request: InferenceRequest, *, deadline_s: float | None = None
-    ) -> InferenceResponse:
-        """Run one batch on the remote chip (same contract as ChipSession).
-
-        ``deadline_s`` rides the envelope to the server, which sheds the
-        request with a structured ``deadline_exceeded`` error if that much
-        time passes before dispatch (see :class:`RemoteServerError.code`).
-        """
-        # The live request rides the envelope; _call encodes it per attempt.
-        fields: dict[str, object] = {"request": request}
-        if deadline_s is not None:
-            fields["deadline_s"] = float(deadline_s)
-        reply = self._call(request_envelope("infer", **fields))
-        return InferenceResponse.from_dict(reply["response"])
-
-    def metrics(self) -> dict[str, object]:
-        """Scrape the server's metrics registry (``metrics`` op).
-
-        Returns the structured payload: a JSON-safe registry ``snapshot``
-        plus the same data rendered as Prometheus ``text`` — identical to
-        what the server's HTTP exposition endpoint serves.
-        """
-        return dict(self._call(request_envelope("metrics"))["metrics"])
-
-    def drain_server(self) -> dict[str, object]:
-        """Retire the server gracefully (idempotent ``drain`` op).
-
-        The server stops admitting new ``infer`` requests (they answer a
-        structured ``draining`` error), finishes and delivers everything
-        already admitted, then exits its serving loop.
-        """
-        return self._call(request_envelope("drain"), idempotent=False)
-
-    def shutdown_server(self) -> None:
-        """Ask the server process to stop serving (clean remote teardown).
-
-        Never retried: a connection that drops after the send most likely
-        means the shutdown worked.
-        """
-        self._call(request_envelope("shutdown"), idempotent=False)
-
-    def close(self) -> None:
-        """Close the connection (idempotent)."""
-        self._closed = True
-        self._drop_connection()
-
-    def __enter__(self) -> "RemoteSession":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 # -- pipelined client ---------------------------------------------------------------
@@ -472,8 +214,7 @@ class _PipelinedConnection:
         """Register ``future`` under the message id and put it on the wire."""
         request_id = message["id"]
         # Serialise outside the lock — encoding a megabyte batch must not
-        # stall other senders.  No shared encode buffer here: several
-        # threads may be in this section at once.
+        # stall other senders.
         data = _encode_message(message)
         with self._lock:
             if self._dead:
@@ -537,8 +278,8 @@ class _PipelinedConnection:
         with self._lock:
             self._dead = True
         # Unblock the reader first: closing the buffered file while the
-        # reader thread sits in readline() would deadlock on the buffer's
-        # internal lock until the socket timeout.  shutdown() delivers EOF.
+        # reader thread is blocked reading a frame would deadlock on the
+        # buffer's internal lock.  shutdown() delivers EOF.
         try:
             self._socket.shutdown(socket.SHUT_RDWR)
         except OSError:
@@ -582,6 +323,11 @@ class CancellableFuture(Future):
         return cancelled
 
 
+#: Ops whose effect does not repeat safely: never resent after a dead
+#: connection (every other op is a pure read or a pure function).
+_NEVER_RESENT = frozenset({"drain", "shutdown"})
+
+
 class PipelinedSession:
     """Pipelined chip client: many requests in flight over a connection pool.
 
@@ -594,20 +340,26 @@ class PipelinedSession:
         loaded live connections; one is plenty for pure pipelining, two or
         three overlap TCP flow control on large batches).
     timeout:
-        Connection-establishment timeout in seconds.  Established
-        connections wait indefinitely for replies (they are legitimately
-        idle between batches); put per-request deadlines on
-        ``future.result(timeout=...)``.
+        Connection-establishment timeout in seconds, and the bound on the
+        ``info`` read behind :attr:`capacity` / :attr:`backend` /
+        :attr:`timesteps`.  Established connections otherwise wait
+        indefinitely for replies (they are legitimately idle between
+        batches); put per-request deadlines on ``future.result(timeout=...)``
+        or the ``timeout`` of the metadata ops.
 
     :meth:`submit` returns a :class:`CancellableFuture` resolving to the
     :class:`InferenceResponse` — cancelling it also sends a ``cancel`` op so
     the server drops the still-queued work — and accepts a per-request
-    ``deadline_s`` that the server enforces before dispatch; requests
-    already on a connection that dies are transparently resubmitted once on
-    a fresh connection (inference is idempotent — a pure function of the
-    request).  The blocking :meth:`infer` / :meth:`infer_many` adapters
-    mirror the ``ChipSession`` surface, so a pipelined remote is also a
-    valid gateway endpoint.
+    ``deadline_s`` that the server enforces before dispatch.  A request
+    caught on a connection that dies is resent on a fresh one after a
+    jittered backoff, within the request's :class:`RetryBudget` or, without
+    one, a single resend (inference is idempotent — a pure function of the
+    request); exhaustion raises
+    :class:`~repro.serve.retry.RetryBudgetExhausted` chained to
+    the connection error.  ``drain`` and ``shutdown`` are never resent.
+    The blocking :meth:`infer` / :meth:`infer_many` adapters mirror the
+    ``ChipSession`` surface, so a pipelined remote is also a valid gateway
+    endpoint.
     """
 
     def __init__(
@@ -627,7 +379,7 @@ class PipelinedSession:
         self._lock = threading.Lock()
         self._info: dict[str, object] | None = None
         self._closed = False
-        # Fail fast like RemoteSession: the first connection opens eagerly.
+        # Fail fast: the first connection opens eagerly.
         self._connections: list[_PipelinedConnection | None] = [
             _PipelinedConnection(host, port, timeout)
         ] + [None] * (connections - 1)
@@ -698,7 +450,6 @@ class PipelinedSession:
         self,
         op: str,
         *,
-        retry: bool = True,
         sent: dict[str, object] | None = None,
         budget: RetryBudget | None = None,
         **fields: object,
@@ -707,14 +458,11 @@ class PipelinedSession:
 
         ``sent`` (when given) is updated in place with the connection and
         request id of the most recent wire attempt, which is what a later
-        ``cancel`` op must target.  With a ``budget``, dead-connection
-        resubmits are bounded by the request's shared retry pool (with
-        jittered backoff) instead of the default single immediate resend.
+        ``cancel`` op must target.  Dead-connection resends draw from
+        ``budget`` (see :meth:`_retry_later`).
         """
         outer: Future = Future()
-        self._attempt(
-            op, fields, outer, retries_left=1 if retry else 0, sent=sent, budget=budget
-        )
+        self._attempt(op, fields, outer, sent, budget)
         return outer
 
     def _retry_later(
@@ -723,14 +471,25 @@ class PipelinedSession:
         fields: dict[str, object],
         outer: Future,
         sent: dict[str, object] | None,
-        budget: RetryBudget,
+        budget: RetryBudget | None,
         cause: BaseException,
     ) -> None:
-        """Budgeted resubmit after a dead connection, backed off on a timer.
+        """Resend after a dead connection, within a budget, backed off on a timer.
 
-        The backoff must never run on the reader thread (it is routing every
-        other reply of that connection), so a daemon timer pays the delay.
+        ``drain`` and ``shutdown`` are never resent: a connection that drops
+        after the send most likely means the op took effect.  Every other op
+        is idempotent; without a request budget it gets a one-resend
+        :class:`RetryBudget`, built only here so the success path pays
+        nothing for it.  The backoff must never run on the reader thread (it
+        is routing every other reply of that connection), so a daemon timer
+        pays the delay.
         """
+        if op in _NEVER_RESENT:
+            with contextlib.suppress(InvalidStateError):
+                outer.set_exception(cause)
+            return
+        if budget is None:
+            budget = RetryBudget(2)
         consumed = budget.try_consume()
         if consumed is None:
             with contextlib.suppress(InvalidStateError):
@@ -739,7 +498,7 @@ class PipelinedSession:
 
         def resend() -> None:
             try:
-                self._attempt(op, fields, outer, retries_left=0, sent=sent, budget=budget)
+                self._attempt(op, fields, outer, sent, budget)
             except Exception as retry_exc:  # noqa: BLE001 - into the future
                 with contextlib.suppress(InvalidStateError):
                     outer.set_exception(retry_exc)
@@ -753,9 +512,8 @@ class PipelinedSession:
         op: str,
         fields: dict[str, object],
         outer: Future,
-        retries_left: int,
-        sent: dict[str, object] | None = None,
-        budget: RetryBudget | None = None,
+        sent: dict[str, object] | None,
+        budget: RetryBudget | None,
     ) -> None:
         request_id = next(self._ids)
         message = request_envelope(op, request_id=request_id, **fields)
@@ -765,23 +523,15 @@ class PipelinedSession:
             if outer.done():  # locally cancelled while in flight
                 return
             exc = done.exception()
-            if isinstance(exc, ConnectionError) and budget is not None:
-                # The connection died with this request in flight; resend on
-                # a fresh one within the request's retry budget.
+            if isinstance(exc, ConnectionError):
+                # The connection died with this request in flight.
                 self._retry_later(op, fields, outer, sent, budget, exc)
-            elif isinstance(exc, ConnectionError) and retries_left > 0:
-                # Legacy single resend (idempotent ops only reach this path).
-                try:
-                    self._attempt(op, fields, outer, retries_left - 1, sent=sent)
-                except Exception as retry_exc:  # noqa: BLE001 - into the future
-                    with contextlib.suppress(InvalidStateError):
-                        outer.set_exception(retry_exc)
-            else:
-                with contextlib.suppress(InvalidStateError):
-                    if exc is not None:
-                        outer.set_exception(exc)
-                    else:
-                        outer.set_result(done.result())
+                return
+            with contextlib.suppress(InvalidStateError):
+                if exc is not None:
+                    outer.set_exception(exc)
+                else:
+                    outer.set_result(done.result())
 
         inner.add_done_callback(relay)
         try:
@@ -791,17 +541,10 @@ class PipelinedSession:
                 sent["connection"] = connection
                 sent["id"] = request_id
         except ConnectionError as exc:
-            if budget is not None:
-                self._retry_later(op, fields, outer, sent, budget, exc)
-            elif retries_left > 0:
-                self._attempt(op, fields, outer, retries_left - 1, sent=sent)
-            elif not outer.done():
-                with contextlib.suppress(InvalidStateError):
-                    outer.set_exception(exc)
+            self._retry_later(op, fields, outer, sent, budget, exc)
         except RuntimeError as exc:  # session closed while retrying
-            if not outer.done():
-                with contextlib.suppress(InvalidStateError):
-                    outer.set_exception(exc)
+            with contextlib.suppress(InvalidStateError):
+                outer.set_exception(exc)
 
     # -- the pipelined surface ----------------------------------------------------
 
@@ -928,17 +671,17 @@ class PipelinedSession:
     @property
     def capacity(self) -> int:
         """Worker count of the remote pool (gateway sharding weight)."""
-        return int(self.info().get("capacity", 1))
+        return int(self.info(timeout=self.timeout).get("capacity", 1))
 
     @property
     def backend(self) -> str:
         """Execution backend of the remote chip."""
-        return str(self.info().get("backend", "unknown"))
+        return str(self.info(timeout=self.timeout).get("backend", "unknown"))
 
     @property
     def timesteps(self) -> int:
         """Default rate-coding window of the remote session."""
-        return int(self.info().get("timesteps", 0))
+        return int(self.info(timeout=self.timeout).get("timesteps", 0))
 
     def metrics(self, *, timeout: float | None = None) -> dict[str, object]:
         """Scrape the server's metrics registry (``metrics`` op).
@@ -955,11 +698,11 @@ class PipelinedSession:
         In-flight requests on this session still complete: the server
         answers every admitted request before it exits.
         """
-        return self._bounded_reply("drain", timeout, retry=False)
+        return self._bounded_reply("drain", timeout)
 
     def shutdown_server(self) -> None:
         """Ask the server process to stop serving (never retried)."""
-        self._submit_op("shutdown", retry=False).result()
+        self._submit_op("shutdown").result()
 
     def close(self) -> None:
         """Close every connection (idempotent); in-flight requests fail."""

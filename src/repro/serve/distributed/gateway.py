@@ -3,7 +3,6 @@
 :class:`InferenceGateway` fans one request batch out across several
 endpoints — local :class:`~repro.serve.ChipSession`\\ s and
 :class:`~repro.serve.ChipPool`\\ s, remote
-:class:`~repro.serve.distributed.client.RemoteSession`\\ s /
 :class:`~repro.serve.distributed.client.PipelinedSession`\\ s, anything with
 the ``infer`` contract — and merges the shard responses into one exact
 result.
@@ -23,7 +22,7 @@ overloaded or draining server *sheds* (structured ``overloaded`` /
 the request's :class:`~repro.serve.retry.RetryBudget` (jittered backoff
 between hops; exhaustion surfaces as a structured
 :class:`~repro.serve.retry.RetryBudgetExhausted`), and per-request deadlines
-propagate to every endpoint that understands them.
+propagate to every endpoint whose ``submit`` takes one.
 
 The gateway also mitigates *stragglers*: with hedging enabled
 (``hedge_after_s`` and/or ``hedge_percentile``), a shard whose wait exceeds
@@ -137,7 +136,7 @@ class GatewayEndpoint:
     """One inference target behind the gateway, with its sharding weight.
 
     ``capacity`` defaults to the target's own ``capacity`` attribute (a
-    :class:`RemoteSession` reports its server's worker count), then to its
+    :class:`PipelinedSession` reports its server's worker count), then to its
     ``jobs`` attribute (a local pool), then to 1.  An explicit capacity must
     be positive — a zero-capacity endpoint could never receive a shard.
 
@@ -169,17 +168,13 @@ class GatewayEndpoint:
     #: Draining (graceful retirement): the planner and shed-retry skip this
     #: endpoint, but shards already placed on it run to completion.
     draining: bool = field(default=False, init=False, repr=False, compare=False)
-    #: Whether ``target.infer`` accepts a ``deadline_s`` keyword (remote
-    #: sessions do; local sessions execute immediately, so there is nothing
-    #: for a deadline to shed).
-    supports_deadline: bool = field(
-        default=False, init=False, repr=False, compare=False
-    )
     #: Whether ``target.submit`` exists (pipelined remotes): hedged dispatch
     #: then gets a cancellable future, so losing attempts can be revoked on
     #: the server instead of computing an orphaned answer.
     supports_submit: bool = field(default=False, init=False, repr=False, compare=False)
-    #: Whether that ``submit`` accepts a ``deadline_s`` keyword.
+    #: Whether that ``submit`` accepts a ``deadline_s`` keyword (local
+    #: sessions have no ``submit``: they execute immediately, so there is
+    #: nothing for a deadline to shed).
     submit_supports_deadline: bool = field(
         default=False, init=False, repr=False, compare=False
     )
@@ -204,12 +199,6 @@ class GatewayEndpoint:
             raise ValueError(f"endpoint capacity must be > 0, got {self.capacity}")
         if not self.name:
             self.name = f"{type(self.target).__name__.lower()}"
-        try:
-            self.supports_deadline = (
-                "deadline_s" in inspect.signature(self.target.infer).parameters
-            )
-        except (TypeError, ValueError):  # builtins / exotic callables
-            self.supports_deadline = False
         submitter = getattr(self.target, "submit", None)
         if callable(submitter):
             try:
@@ -913,14 +902,12 @@ class InferenceGateway:
         """Refresh and return the endpoint's remote backlog hint.
 
         Two duck-typed sources, both optional: a ``load()`` method on the
-        target (a local-state read), else a thread-safe ``info`` poll (only
-        pipelined remotes expose both ``submit`` and ``info`` — a plain
-        :class:`RemoteSession` serialises its one connection, so probing it
-        concurrently with an in-flight shard would corrupt the framing).
-        The info poll is bounded by :data:`LOAD_POLL_TIMEOUT_S` so one
-        wedged endpoint cannot starve its siblings' refresh.  Poll failures
-        (including timeouts) keep the previous hint: a dying endpoint's
-        shard will fail loudly on its own.
+        target (a local-state read), else an ``info`` poll (a pipelined
+        remote answers it alongside in-flight shards on the same
+        connections).  The info poll is bounded by :data:`LOAD_POLL_TIMEOUT_S`
+        so one wedged endpoint cannot starve its siblings' refresh.  Poll
+        failures (including timeouts) keep the previous hint: a dying
+        endpoint's shard will fail loudly on its own.
         """
         target = endpoint.target
         hint: float | None = None
@@ -931,7 +918,7 @@ class InferenceGateway:
                 hint = float(loader())
             except Exception:  # noqa: BLE001 - load probes must never fail a plan
                 hint = None
-        elif hasattr(target, "submit") and callable(getattr(target, "info", None)):
+        elif callable(getattr(target, "info", None)):
             try:
                 info = target.info(refresh=True, timeout=LOAD_POLL_TIMEOUT_S)
                 hint = float(info.get("queue_depth", 0)) + float(
@@ -1101,8 +1088,6 @@ class InferenceGateway:
                     return future.result()
                 finally:
                     attempt.wire_future = None
-            if deadline_s is not None and endpoint.supports_deadline:
-                return endpoint.target.infer(sub_request, deadline_s=deadline_s)
             return endpoint.target.infer(sub_request)
 
     def _cancel_attempt(self, attempt: _ShardAttempt) -> bool:
@@ -1162,7 +1147,7 @@ class InferenceGateway:
         default pooled budget of ``retry_attempts`` hops per planned
         shard), and a straggling shard is hedged onto a sibling once its
         wait crosses :meth:`hedge_threshold`.  ``deadline_s`` propagates to
-        every endpoint whose ``infer`` accepts it (remote sessions pass it
+        every endpoint whose ``submit`` accepts it (remote sessions pass it
         to the server's admission control).  Safe to call again before
         earlier batches resolve — batches pipeline across the endpoints.
         """

@@ -1,9 +1,8 @@
 """Shared retry policy for the serving stack: backoff and per-request budgets.
 
-Every layer that re-dispatches work — :class:`RemoteSession` reconnects,
-:class:`PipelinedSession` resubmits after a dead connection, the gateway's
-shed/``draining`` shard retries and hedged dispatch — draws from the same
-two primitives here:
+Every layer that re-dispatches work — :class:`PipelinedSession` resends
+after a dead connection, the gateway's shed/``draining`` shard retries and
+hedged dispatch — draws from the same two primitives here:
 
 * :func:`retry_backoff` — jittered exponential backoff.  Jitter decorrelates
   clients: under overload, synchronized retries arrive as a thundering herd

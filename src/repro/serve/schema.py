@@ -105,8 +105,7 @@ def request_envelope(
 
     ``request_id`` (any JSON scalar) tags the request so its reply can be
     matched out of order.  The server rejects untagged envelopes, so leave
-    it out only when the sender stamps the id per attempt (as
-    :class:`~repro.serve.distributed.RemoteSession` does).
+    it out only to build one of those on purpose.
     """
     envelope: dict[str, object] = {"v": PROTOCOL_VERSION, "op": op}
     if request_id is not None:
@@ -268,20 +267,12 @@ def _pad8(n: int) -> int:
     return (n + 7) & ~7
 
 
-def encode_frame(
-    envelope: dict[str, object], *, buffer: bytearray | None = None
-) -> bytes | memoryview:
+def encode_frame(envelope: dict[str, object]) -> bytes:
     """Serialise one envelope to a binary frame.
 
     Every :class:`numpy.ndarray` anywhere in the envelope ships as raw
     little-endian bytes in the payload section (8-byte aligned); the rest of
-    the envelope becomes the compact-JSON metadata section.  ``buffer``
-    (optional) is an encode buffer reused across calls — the frame is built
-    in place and returned as a :class:`memoryview` of it, so steady-state
-    encoding allocates nothing proportional to the batch; pass ``None`` to
-    get an independent :class:`bytes`.  A reused buffer must not be handed
-    to a consumer that keeps the reference past the next encode (write it to
-    a blocking socket, then reuse).
+    the envelope becomes the compact-JSON metadata section.
     """
     arrays: list[np.ndarray] = []
     descriptors: list[dict[str, object]] = []
@@ -293,10 +284,8 @@ def encode_frame(
     meta = json.dumps(
         {"envelope": stripped, "arrays": descriptors}, separators=(",", ":")
     ).encode("utf-8")
-    total = FRAME_HEADER_SIZE + len(meta) + offset
-    out = bytearray(total) if buffer is None else buffer
-    if len(out) < total:
-        out.extend(bytes(total - len(out)))
+    # Zero-filled, so the alignment padding between arrays needs no writes.
+    out = bytearray(FRAME_HEADER_SIZE + len(meta) + offset)
     _FRAME_HEADER.pack_into(out, 0, FRAME_MAGIC, len(meta), offset)
     start = FRAME_HEADER_SIZE
     out[start : start + len(meta)] = meta
@@ -304,12 +293,7 @@ def encode_frame(
     for descriptor, array in zip(descriptors, arrays):
         at = start + descriptor["offset"]
         out[at : at + array.nbytes] = array.tobytes()
-        pad = _pad8(array.nbytes) - array.nbytes
-        if pad:
-            out[at + array.nbytes : at + array.nbytes + pad] = bytes(pad)
-    if buffer is None:
-        return bytes(out)
-    return memoryview(out)[:total]
+    return bytes(out)
 
 
 def parse_frame_header(header: bytes) -> tuple[int, int]:
@@ -561,9 +545,9 @@ class InferenceRequest:
             "sample_offset": self.sample_offset,
         }
 
-    def to_frame(self, *, buffer: bytearray | None = None) -> bytes | memoryview:
+    def to_frame(self) -> bytes:
         """Serialise to one standalone binary frame (see :func:`encode_frame`)."""
-        return encode_frame(self.to_wire_dict(), buffer=buffer)
+        return encode_frame(self.to_wire_dict())
 
     @classmethod
     def from_frame(cls, frame: bytes | memoryview) -> "InferenceRequest":
@@ -663,9 +647,9 @@ class InferenceResponse:
             "metadata": dict(self.metadata),
         }
 
-    def to_frame(self, *, buffer: bytearray | None = None) -> bytes | memoryview:
+    def to_frame(self) -> bytes:
         """Serialise to one standalone binary frame (see :func:`encode_frame`)."""
-        return encode_frame(self.to_wire_dict(), buffer=buffer)
+        return encode_frame(self.to_wire_dict())
 
     @classmethod
     def from_frame(cls, frame: bytes | memoryview) -> "InferenceResponse":

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import socket
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -91,3 +94,28 @@ def frame_io():
     instead of a client, so the server is checked byte for byte.
     """
     return SimpleNamespace(send=_send_frame, read=_read_frame)
+
+
+@pytest.fixture
+def wedged_server():
+    """Address of a server that accepts and reads requests but never replies."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def drain_forever(conn: socket.socket) -> None:
+        with contextlib.suppress(OSError), conn:
+            while conn.recv(65536):
+                pass
+
+    def accept_loop() -> None:
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            threading.Thread(target=drain_forever, args=(conn,), daemon=True).start()
+
+    threading.Thread(target=accept_loop, daemon=True).start()
+    try:
+        yield listener.getsockname()[:2]
+    finally:
+        listener.close()

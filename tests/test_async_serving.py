@@ -23,7 +23,7 @@ import re
 import socket
 import threading
 import time
-from concurrent.futures import CancelledError, ThreadPoolExecutor
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -37,7 +37,6 @@ from repro.serve.distributed import (
     InferenceGateway,
     PipelinedSession,
     RemoteServerError,
-    RemoteSession,
     parse_endpoint,
 )
 from repro.serve.schema import (
@@ -171,8 +170,8 @@ class TestWireProtocol:
         rng = np.random.default_rng(4)
         request = InferenceRequest(inputs=rng.random((600, 48)))
         expected = single_session.infer(request)
-        with RemoteSession.connect(served_session.address, timeout=60) as remote:
-            response = remote.infer(request)
+        with PipelinedSession.connect(served_session.address, timeout=60) as remote:
+            response = remote.submit(request).result(timeout=60)
         np.testing.assert_array_equal(expected.predictions, response.predictions)
         np.testing.assert_array_equal(expected.spike_counts, response.spike_counts)
 
@@ -830,7 +829,11 @@ class TestLoadControl:
 
 
 def _canned_reply_server(reply: dict, frame_io):
-    """A one-shot fake server answering one request frame with ``reply``."""
+    """A one-shot fake server answering one request frame with ``reply``.
+
+    The reply echoes the request's ``id``, as a protocol-3 server does: a
+    pipelined client routes replies by id and drops untagged ones.
+    """
     srv = socket.create_server(("127.0.0.1", 0))
 
     def run():
@@ -840,15 +843,15 @@ def _canned_reply_server(reply: dict, frame_io):
             return
         with conn:
             stream = conn.makefile("rwb")
-            frame_io.read(stream)
-            frame_io.send(stream, reply)
+            request = frame_io.read(stream)
+            frame_io.send(stream, {**reply, "id": request["id"]})
 
     threading.Thread(target=run, daemon=True).start()
     return srv
 
 
 class TestStructuredErrorReplies:
-    def test_remote_session_raises_on_structured_error(self, frame_io):
+    def test_client_raises_on_structured_error(self, frame_io):
         srv = _canned_reply_server(
             {
                 "ok": False,
@@ -858,24 +861,24 @@ class TestStructuredErrorReplies:
             frame_io,
         )
         try:
-            remote = RemoteSession(*srv.getsockname()[:2], timeout=10, retries=0)
-            with pytest.raises(RemoteServerError, match="queue is full") as excinfo:
-                remote.infer(InferenceRequest(inputs=[[1.0, 2.0]]))
+            with PipelinedSession(*srv.getsockname()[:2], connections=1) as remote:
+                future = remote.submit(InferenceRequest(inputs=[[1.0, 2.0]]))
+                with pytest.raises(RemoteServerError, match="queue is full") as excinfo:
+                    future.result(timeout=10)
             assert excinfo.value.code == ERROR_OVERLOADED
-            remote.close()
         finally:
             srv.close()
 
-    def test_remote_session_raises_on_unknown_error_shape(self, frame_io):
+    def test_client_raises_on_unknown_error_shape(self, frame_io):
         # An error reply with no message and no code must still raise —
         # never hang, never be mistaken for success.
         srv = _canned_reply_server({"ok": False}, frame_io)
         try:
-            remote = RemoteSession(*srv.getsockname()[:2], timeout=10, retries=0)
-            with pytest.raises(RemoteServerError, match="unknown server error") as excinfo:
-                remote.infer(InferenceRequest(inputs=[[1.0, 2.0]]))
+            with PipelinedSession(*srv.getsockname()[:2], connections=1) as remote:
+                future = remote.submit(InferenceRequest(inputs=[[1.0, 2.0]]))
+                with pytest.raises(RemoteServerError, match="unknown server error") as excinfo:
+                    future.result(timeout=10)
             assert excinfo.value.code is None
-            remote.close()
         finally:
             srv.close()
 
@@ -910,51 +913,6 @@ class TestParseEndpoint:
 
 
 class TestReconnect:
-    def test_remote_session_survives_server_restart(self, workload, single_session):
-        _, _, inputs, _ = workload
-        request = InferenceRequest(inputs=inputs[:4])
-        expected = single_session.infer(request)
-        server = ChipServer(_fresh_session(workload), port=0, workload="restart").start()
-        host, port = server.address
-        remote = RemoteSession(host, port, timeout=30)
-        try:
-            _assert_identical(expected, remote.infer(request))
-            # Kill the server: the session now holds a dead socket.
-            server.close()
-            reborn = ChipServer(
-                _fresh_session(workload), host=host, port=port, workload="restart"
-            ).start()
-            try:
-                # Idempotent ops reconnect and retry transparently.
-                assert remote.ping()
-                assert remote.info(refresh=True)["workload"] == "restart"
-                _assert_identical(expected, remote.infer(request))
-            finally:
-                reborn.close()
-        finally:
-            remote.close()
-            server.close()
-
-    def test_retries_zero_disables_resilience(self, workload):
-        _, _, inputs, _ = workload
-        server = ChipServer(_fresh_session(workload), port=0, workload="fragile").start()
-        host, port = server.address
-        remote = RemoteSession(host, port, timeout=30, retries=0)
-        try:
-            assert remote.ping()
-            server.close()
-            reborn = ChipServer(
-                _fresh_session(workload), host=host, port=port, workload="fragile"
-            ).start()
-            try:
-                with pytest.raises(ConnectionError):
-                    remote.ping()
-            finally:
-                reborn.close()
-        finally:
-            remote.close()
-            server.close()
-
     def test_pipelined_session_survives_server_restart(self, workload, single_session):
         _, _, inputs, _ = workload
         request = InferenceRequest(inputs=inputs[:4])
@@ -969,6 +927,9 @@ class TestReconnect:
                 _fresh_session(workload), host=host, port=port, workload="restart"
             ).start()
             try:
+                # Idempotent ops resend on a fresh connection transparently.
+                assert pipelined.ping(timeout=30)
+                assert pipelined.info(refresh=True, timeout=30)["workload"] == "restart"
                 _assert_identical(expected, pipelined.infer(request))
             finally:
                 reborn.close()
@@ -982,11 +943,13 @@ class TestReconnect:
         _, _, inputs, _ = workload
         gate = _GateTarget(_fresh_session(workload))
         with ChipServer(gate, port=0, workload="slow").start() as server:
-            remote = RemoteSession(*server.address, timeout=0.4)
+            remote = PipelinedSession(*server.address, connections=1)
             try:
                 started = time.monotonic()
                 with pytest.raises(TimeoutError):
-                    remote.infer(InferenceRequest(inputs=inputs[:2]))
+                    remote.submit(InferenceRequest(inputs=inputs[:2])).result(
+                        timeout=0.4
+                    )
                 elapsed = time.monotonic() - started
                 # One timeout window, not two (no retry of the slow request).
                 assert elapsed < 0.75, f"timed out after {elapsed:.2f}s — retried?"
@@ -1024,10 +987,6 @@ class TestReconnect:
 
     def test_closed_sessions_reject_use(self, workload):
         server = ChipServer(_fresh_session(workload), port=0, workload="closing").start()
-        remote = RemoteSession(*server.address)
-        remote.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            remote.ping()
         pipelined = PipelinedSession(*server.address)
         pipelined.close()
         pipelined.close()  # idempotent
@@ -1197,7 +1156,6 @@ class _InfoProbeRecorder:
     """A pipelined-remote-shaped target recording how its info is polled."""
 
     capacity = 1
-    submit = None  # pipelined marker: presence makes the target pollable
 
     def __init__(self, session: ChipSession):
         self._session = session
@@ -1215,7 +1173,7 @@ class _InfoProbeRecorder:
 
 
 class _DeadlineRecorder:
-    """Endpoint recording the deadline_s its infer() receives."""
+    """Endpoint recording the deadline_s its submit() receives."""
 
     capacity = 1
 
@@ -1223,8 +1181,13 @@ class _DeadlineRecorder:
         self._session = session
         self.seen: list[float | None] = []
 
-    def infer(self, request, deadline_s: float | None = None):
+    def submit(self, request, deadline_s: float | None = None) -> Future:
         self.seen.append(deadline_s)
+        future: Future = Future()
+        future.set_result(self._session.infer(request))
+        return future
+
+    def infer(self, request):
         return self._session.infer(request)
 
 
@@ -1377,33 +1340,15 @@ class TestAdaptiveGateway:
 
 
 class TestExperimentDeadline:
-    def test_wedged_server_fails_the_run_instead_of_hanging(self, monkeypatch):
+    def test_wedged_server_fails_the_run_instead_of_hanging(
+        self, monkeypatch, wedged_server
+    ):
         # A server that accepts the connection and reads requests but never
         # replies must blow the remote deadline AND let the gateway/session
         # teardown finish — the whole call must return, not hang.
         from repro.experiments import ExperimentSettings, WorkloadContext
         from repro.experiments import common as experiments_common
 
-        wedged = socket.create_server(("127.0.0.1", 0))
-
-        def accept_loop():
-            while True:
-                try:
-                    conn, _ = wedged.accept()
-                except OSError:
-                    return
-                threading.Thread(
-                    target=_drain_forever, args=(conn,), daemon=True
-                ).start()
-
-        def _drain_forever(conn):
-            try:
-                while conn.recv(65536):
-                    pass
-            except OSError:
-                pass
-
-        threading.Thread(target=accept_loop, daemon=True).start()
         monkeypatch.setattr(experiments_common, "REMOTE_DEADLINE_S", 1.0)
         context = WorkloadContext(
             ExperimentSettings(
@@ -1412,15 +1357,12 @@ class TestExperimentDeadline:
             )
         )
         prepared = context.prepare("mnist-mlp")
-        host, port = wedged.getsockname()[:2]
+        host, port = wedged_server
         started = time.monotonic()
-        try:
-            with pytest.raises(TimeoutError):
-                context.evaluate_chip(prepared, endpoint=f"{host}:{port}")
-            elapsed = time.monotonic() - started
-            assert elapsed < 20, f"teardown took {elapsed:.1f}s — hang regression"
-        finally:
-            wedged.close()
+        with pytest.raises(TimeoutError):
+            context.evaluate_chip(prepared, endpoint=f"{host}:{port}")
+        elapsed = time.monotonic() - started
+        assert elapsed < 20, f"teardown took {elapsed:.1f}s — hang regression"
 
 
 # -- CLI ----------------------------------------------------------------------------
@@ -1476,20 +1418,20 @@ class TestServeCli:
             _fresh_session(workload), port=0, workload="cli-test"
         ).start()
         seen: dict[str, float] = {}
-        real_connect = RemoteSession.connect.__func__
+        real_connect = PipelinedSession.connect.__func__
 
         def spying_connect(cls, endpoint, *, timeout=120.0, **kwargs):
             seen["timeout"] = timeout
             return real_connect(cls, endpoint, timeout=timeout, **kwargs)
 
         monkeypatch.setattr(
-            cli.RemoteSession, "connect", classmethod(spying_connect)
+            cli.PipelinedSession, "connect", classmethod(spying_connect)
         )
 
         def tiny_inference(remote, args):
             _, _, inputs, labels = workload
             request = InferenceRequest(inputs=inputs[:2], labels=labels[:2])
-            return request, remote.infer(request)
+            return request, remote.submit(request).result(timeout=args.timeout)
 
         monkeypatch.setattr(cli, "_client_inference", tiny_inference)
         try:

@@ -24,8 +24,7 @@ from repro.serve.distributed import (
     ChipServer,
     GatewayEndpoint,
     InferenceGateway,
-    RemoteServerError,
-    RemoteSession,
+    PipelinedSession,
     load_benchmark_workload,
     make_executor,
     parse_endpoint,
@@ -205,7 +204,7 @@ class TestServerClient:
         self, served_pool, workload, single_response
     ):
         _, _, inputs, labels = workload
-        with RemoteSession.connect(served_pool.endpoint) as remote:
+        with PipelinedSession.connect(served_pool.endpoint) as remote:
             response = remote.infer(InferenceRequest(inputs=inputs, labels=labels))
         assert response.jobs == 2
         _assert_responses_identical(single_response, response)
@@ -216,7 +215,7 @@ class TestServerClient:
         )
 
     def test_ping_info_and_session_surface(self, served_pool):
-        with RemoteSession.connect(served_pool.endpoint) as remote:
+        with PipelinedSession.connect(served_pool.endpoint) as remote:
             assert remote.ping()
             info = remote.info()
             assert info["workload"] == "dist-test"
@@ -227,7 +226,7 @@ class TestServerClient:
 
     def test_many_requests_on_one_connection(self, served_pool, workload):
         _, _, inputs, _ = workload
-        with RemoteSession.connect(served_pool.endpoint) as remote:
+        with PipelinedSession.connect(served_pool.endpoint) as remote:
             first = remote.infer(InferenceRequest(inputs=inputs[:3]))
             second = remote.infer(InferenceRequest(inputs=inputs[:3]))
         np.testing.assert_array_equal(first.predictions, second.predictions)
@@ -250,11 +249,6 @@ class TestServerClient:
                 assert reply["id"] == envelope["id"]
                 assert fragment in reply["error"], reply["error"]
 
-    def test_client_raises_remote_server_error(self, served_pool):
-        with RemoteSession.connect(served_pool.endpoint) as remote:
-            with pytest.raises(RemoteServerError, match="unknown op"):
-                remote._call(request_envelope("time-travel"))
-
     def test_concurrent_clients_on_bare_structural_session(self, workload):
         # A bare ChipSession is not thread-safe (the structural backend
         # mutates live chip state per run); the server must serialise
@@ -271,7 +265,7 @@ class TestServerClient:
         expected = session.infer(request)
 
         def one_client(_):
-            with RemoteSession.connect(server.address) as remote:
+            with PipelinedSession.connect(server.address) as remote:
                 return remote.infer(request)
 
         with ChipServer(session, port=0, workload="structural").start() as server:
@@ -285,13 +279,13 @@ class TestServerClient:
         snn, config, inputs, _ = workload
         session = ChipSession(snn, config=config, timesteps=4, seed=0)
         server = ChipServer(session, port=0, workload="ephemeral").start()
-        with RemoteSession.connect(server.address) as remote:
+        with PipelinedSession.connect(server.address) as remote:
             response = remote.infer(InferenceRequest(inputs=inputs[:2]))
             assert response.batch_size == 2
             remote.shutdown_server()
         server.close()  # idempotent with the remote shutdown
         with pytest.raises(OSError):
-            RemoteSession(*server.address)
+            PipelinedSession(*server.address)
 
     def test_parse_endpoint(self):
         assert parse_endpoint("127.0.0.1:7070") == ("127.0.0.1", 7070)
@@ -338,7 +332,7 @@ class TestGateway:
     ):
         snn, config, inputs, labels = workload
         local = ChipSession(snn, config=config, timesteps=6, encoder="poisson", seed=11)
-        with RemoteSession.connect(served_pool.endpoint) as remote:
+        with PipelinedSession.connect(served_pool.endpoint) as remote:
             with InferenceGateway([remote, local]) as gateway:
                 # The remote pool advertises capacity 2, the session 1.
                 assert gateway.total_capacity == 3.0

@@ -44,7 +44,7 @@ from repro.serve.fleet import (
     ReplicaManager,
     ReplicaSpec,
 )
-from repro.serve.schema import ERROR_DRAINING, ERROR_OVERLOADED
+from repro.serve.schema import ERROR_DRAINING
 from repro.snn import Dense, Network, convert_to_snn
 
 ENERGY_RTOL = 1e-9
@@ -352,7 +352,6 @@ class TestGatewayMembership:
 
         class _PollRecorder:
             capacity = 1
-            submit = None  # pipelined marker: presence makes the target pollable
 
             def __init__(self, session):
                 self._session = session

@@ -312,9 +312,9 @@ class TestRetryBudgets:
 class TestSharedBackoff:
     def test_backoff_grows_and_jitters(self):
         for attempt, base in ((0, 0.05), (1, 0.1), (2, 0.2)):
-            for _ in range(20):
-                delay = retry_backoff(attempt)
-                assert base * 0.5 <= delay <= base * 1.5
+            delays = {retry_backoff(attempt) for _ in range(20)}
+            assert all(base * 0.5 <= delay <= base * 1.5 for delay in delays)
+            assert len(delays) > 1, "backoff must be jittered, not constant"
 
     def test_backoff_cap(self):
         for _ in range(20):

@@ -16,7 +16,6 @@ import json
 import math
 import threading
 
-import numpy as np
 import pytest
 
 from repro.loadlab import (

@@ -13,8 +13,11 @@ The serving stack has one wire carrier: length-prefixed binary frames
   answers everything admitted and refuses new work with the structured
   ``draining`` error, and typed clients surface it as
   :class:`RemoteServerError` with ``.code == "draining"``;
-* the satellite bug fixes: IPv6 endpoint parsing, jittered reconnect
-  backoff, and ``infer_many`` cancelling outstanding work on failure.
+* the one client retry path: resends after a dead connection draw from a
+  :class:`~repro.serve.retry.RetryBudget` (the request's own, else a
+  one-resend default) and end in ``RetryBudgetExhausted``;
+* bounded metadata reads, IPv6 endpoint parsing, and ``infer_many``
+  cancelling outstanding work on failure.
 """
 
 from __future__ import annotations
@@ -36,11 +39,10 @@ from repro.serve.distributed import (
     InferenceGateway,
     PipelinedSession,
     RemoteServerError,
-    RemoteSession,
     parse_endpoint,
 )
-from repro.serve.distributed import client as client_module
-from repro.serve.distributed.client import CancellableFuture, _retry_backoff
+from repro.serve.distributed.client import CancellableFuture
+from repro.serve.retry import RetryBudget, RetryBudgetExhausted
 from repro.serve.schema import (
     ERROR_DRAINING,
     FRAME_MAGIC,
@@ -203,9 +205,9 @@ class TestDrainOverTheWire:
                 assert "draining" in refusal["error"]
                 # A typed client surfaces the same refusal as a
                 # RemoteServerError carrying the code.
-                with RemoteSession.connect(served.address, timeout=30) as remote:
+                with PipelinedSession.connect(served.address, timeout=30) as remote:
                     with pytest.raises(RemoteServerError) as excinfo:
-                        remote.infer(request)
+                        remote.submit(request).result(timeout=30)
                     assert excinfo.value.code == ERROR_DRAINING
                 # Release the held request: it gets its exact answer even
                 # though the server has been draining the whole time.
@@ -223,14 +225,6 @@ class TestDrainOverTheWire:
 
 
 class TestV3Parity:
-    def test_remote_session_matches_local(self, server, workload, single_session):
-        _, _, inputs, labels = workload
-        request = InferenceRequest(inputs=inputs, labels=labels)
-        with RemoteSession(*server.address) as remote:
-            assert remote.info()["protocol_version"] == PROTOCOL_VERSION == 3
-            assert remote.ping()
-            _assert_identical(single_session.infer(request), remote.infer(request))
-
     def test_pipelined_session_matches_local(self, server, workload, single_session):
         _, _, inputs, labels = workload
         requests = [
@@ -238,6 +232,9 @@ class TestV3Parity:
             InferenceRequest(inputs=inputs[:4], sample_offset=2),
         ]
         with PipelinedSession(*server.address, connections=2) as remote:
+            info = remote.info(timeout=30)
+            assert info["protocol_version"] == PROTOCOL_VERSION == 3
+            assert remote.ping(timeout=30)
             responses = remote.infer_many(requests)
         for request, response in zip(requests, responses):
             _assert_identical(single_session.infer(request), response)
@@ -366,38 +363,75 @@ class TestFrameErrors:
 
     def test_server_still_healthy_after_frame_abuse(self, server, workload):
         _, _, inputs, _ = workload
-        with RemoteSession(*server.address) as remote:
-            assert remote.ping()
-            assert remote.infer(InferenceRequest(inputs=inputs[:2])).batch_size == 2
+        with PipelinedSession(*server.address, connections=1) as remote:
+            assert remote.ping(timeout=30)
+            request = InferenceRequest(inputs=inputs[:2])
+            assert remote.submit(request).result(timeout=30).batch_size == 2
 
 
-# -- reconnect backoff --------------------------------------------------------------
+# -- one retry path -----------------------------------------------------------------
 
 
-class TestReconnectBackoff:
-    def test_backoff_is_jittered_and_grows(self):
-        first = {_retry_backoff(0) for _ in range(32)}
-        assert all(0.025 <= delay <= 0.1 for delay in first)
-        assert len(first) > 1, "backoff must be jittered, not constant"
-        assert all(0.05 <= _retry_backoff(1) <= 0.2 for _ in range(32))
-
-    def test_call_backs_off_between_reconnect_attempts(self, server, monkeypatch):
-        delays: list[int] = []
+class TestRetryPath:
+    @pytest.mark.parametrize(
+        ("max_attempts", "ordinals"),
+        [
+            pytest.param(None, [0], id="default-budget"),
+            pytest.param(3, [0, 1], id="carried-budget"),
+        ],
+    )
+    def test_dead_connection_resends_draw_from_a_budget(
+        self, server, workload, monkeypatch, max_attempts, ordinals
+    ):
+        _, _, inputs, _ = workload
+        drawn: list[int] = []
         monkeypatch.setattr(
-            client_module,
-            "_retry_backoff",
-            lambda attempt: (delays.append(attempt), 0.0)[1],
+            RetryBudget,
+            "backoff_s",
+            lambda self, attempt: (drawn.append(attempt), 0.0)[1],
         )
-        with ChipServer(
-            server.target, port=0, workload="backoff"
-        ).start() as doomed:
-            remote = RemoteSession(*doomed.address, retries=2)
-        # The server is gone: every attempt fails, with a backoff between
-        # consecutive attempts (but not after the last).
-        with pytest.raises(ConnectionError):
-            remote.ping()
-        remote.close()
-        assert delays == [0, 1]
+        request = InferenceRequest(inputs=inputs[:2])
+        budget = None if max_attempts is None else RetryBudget(max_attempts)
+        if budget is not None:
+            request = request.with_retry_budget(budget)
+        with ChipServer(server.target, port=0, workload="doomed").start() as doomed:
+            remote = PipelinedSession(*doomed.address, connections=1)
+        # The server is gone: the in-flight attempt and every resend fail.
+        try:
+            with pytest.raises(RetryBudgetExhausted) as excinfo:
+                remote.submit(request).result(timeout=30)
+        finally:
+            remote.close()
+        assert drawn == ordinals
+        assert excinfo.value.attempts == len(ordinals) + 1
+        assert isinstance(excinfo.value.__cause__, ConnectionError)
+        if budget is not None:
+            assert budget.retries_used == 2
+
+
+class TestBoundedMetadataReads:
+    @pytest.mark.parametrize("prop", ["capacity", "backend", "timesteps"])
+    def test_property_read_times_out_on_a_wedged_server(self, wedged_server, prop):
+        # A gateway reads ``capacity`` when it wraps a session: a server that
+        # accepts but never answers must not hang that read forever.
+        outcome: list[BaseException] = []
+
+        def read() -> None:
+            try:
+                getattr(remote, prop)
+            except Exception as exc:  # noqa: BLE001 - handed to the test
+                outcome.append(exc)
+
+        remote = PipelinedSession(*wedged_server, timeout=0.5)
+        worker = threading.Thread(target=read, daemon=True)
+        try:
+            worker.start()
+            worker.join(timeout=5.0)
+            assert not worker.is_alive(), f"{prop} read hung on a wedged server"
+        finally:
+            remote.close()  # fails the pending read, releasing a stuck thread
+            worker.join(timeout=5.0)
+        assert len(outcome) == 1 and isinstance(outcome[0], TimeoutError), outcome
 
 
 # -- infer_many cancels outstanding work on failure ---------------------------------
