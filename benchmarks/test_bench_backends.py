@@ -159,12 +159,12 @@ def test_bench_pool_sharded_inference(benchmark, pool_workload):
     assert response.jobs == POOL_JOBS
 
 
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2,
-    reason="pool sharding needs >= 2 cores to beat a single session",
-)
 def test_pool_throughput_beats_single_session(pool_workload, persist_result):
-    """``jobs=4`` must beat ``jobs=1`` on a batch >= 64 (vectorized backend)."""
+    """``jobs=4`` must beat ``jobs=1`` on a batch >= 64 (vectorized backend).
+
+    The sharded answer must equal the single session's on any machine; the
+    speedup is asserted only where the process may run ``POOL_JOBS`` cores.
+    """
     snn, config, inputs = pool_workload
     request = InferenceRequest(inputs=inputs)
     with ChipPool(snn, jobs=1, config=config, timesteps=TIMESTEPS, seed=0) as single:
@@ -191,16 +191,20 @@ def test_pool_throughput_beats_single_session(pool_workload, persist_result):
             "speedup": speedup,
         },
     )
-    assert speedup > 1.0, (
-        f"jobs={POOL_JOBS} pool slower than a single session "
-        f"({pool_s:.3f}s vs {single_s:.3f}s)"
-    )
     # Sharding must not change the answer.
     np.testing.assert_array_equal(
         single_response.predictions, pool_response.predictions
     )
     np.testing.assert_array_equal(
         single_response.spike_counts, pool_response.spike_counts
+    )
+    cores = len(os.sched_getaffinity(0))
+    if cores < POOL_JOBS:
+        print(f"speedup not asserted: {cores} usable cores < jobs={POOL_JOBS}")
+        return
+    assert speedup > 1.0, (
+        f"jobs={POOL_JOBS} pool slower than a single session "
+        f"({pool_s:.3f}s vs {single_s:.3f}s)"
     )
 
 

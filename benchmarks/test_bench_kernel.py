@@ -1,14 +1,17 @@
-"""Wall-clock payoff of the layer-fused kernel over the per-tile loop.
+"""Wall-clock payoff of the fused kernel over the per-tile loop.
 
-The fused path packs every layer's tiles into one stacked conductance
-tensor and runs each timestep as a single batched matmul per layer, with
-all scratch living in a reusable :class:`~repro.fastpath.plan.KernelPlan`
-arena.  The acceptance bar is a >= 1.5x speedup over the pre-fusion
-``timesteps × layers × tiles`` loop (kept alive as
+The fused path stores each layer as the chip's crossbar grid and runs
+layer-major over chunks of timesteps, one GEMM per crossbar row block, with
+all scratch in a reusable :class:`~repro.fastpath.plan.KernelPlan`.  The
+acceptance bar is a >= 1.5x speedup over the ``timesteps × layers × tiles``
+loop (kept alive as
 :meth:`~repro.fastpath.engine.VectorizedChipEngine.run_batch_reference`)
-on a batch of 64, while staying bit-identical — the property suite in
-``tests/test_kernel_fused.py`` asserts the identity across randomized
-geometries; here we re-check it on the benchmarked runs.
+on a batch of 64.  A batch of 64 fills a chunk by itself, so this shape
+runs one timestep per chunk and the GEMM height equals the reference's.
+The property suite in ``tests/test_kernel_fused.py`` holds the outputs to
+the reference (predictions, spike counts and integer counters exact,
+energy within 1e-9); here we re-check the exact ones on the benchmarked
+runs.
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ def test_fused_kernel_speedup_floor(kernel_workload, persist_result):
         f"fused kernel only {speedup:.2f}x faster "
         f"({reference_s * 1e3:.3f}ms vs {fused_s * 1e3:.3f}ms)"
     )
-    # Speed must not change the answer — bit-identical, not approximately.
+    # Speed must not change the answer.
     np.testing.assert_array_equal(reference.predictions, fused.predictions)
     np.testing.assert_array_equal(reference.spike_counts, fused.spike_counts)
     assert (

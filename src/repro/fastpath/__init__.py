@@ -3,20 +3,22 @@
 The structural model (:mod:`repro.core.resparc`) executes one sample at a
 time through Python objects — maximal fidelity, minimal throughput.  This
 package compiles a programmed chip into dense arrays
-(:func:`~repro.fastpath.compiler.compile_chip`), packing every layer's
-tiles into stacked tensors for the layer-fused kernel
+(:func:`~repro.fastpath.compiler.compile_chip`), storing each layer as the
+chip's crossbar grid of row blocks × column blocks
 (:class:`~repro.fastpath.compiler.FusedLayer`), and replays whole batches
-through NumPy (:class:`~repro.fastpath.engine.VectorizedChipEngine`),
-producing the same predictions, the same :class:`~repro.core.stats.EventCounters`
-and the same energy totals as the structural execution.  Work buffers live
-in reusable :class:`~repro.fastpath.plan.KernelPlan` scratch arenas, cached
-per execution shape by :class:`~repro.fastpath.plan.PlanCache`.
+through NumPy (:class:`~repro.fastpath.engine.VectorizedChipEngine`):
+layer-major over chunks of timesteps, one GEMM per crossbar row block.
+Work buffers live in reusable :class:`~repro.fastpath.plan.KernelPlan`
+scratch, cached per execution shape by
+:class:`~repro.fastpath.plan.PlanCache`.
 
-Select it through ``ChipSimulator(backend="vectorized")`` or the
-:func:`repro.core.simulator.simulate` facade; ``tests/test_backend_parity.py``
-is the contract that keeps the two backends equivalent, and
-``tests/test_kernel_fused.py`` pins the fused kernel to the per-tile
-reference loop bit for bit.
+Predictions, spike counts and every :class:`~repro.core.stats.EventCounters`
+integer equal the structural execution's; energy totals agree within 1e-9
+relative.  Select the backend through ``ChipSimulator(backend="vectorized")``
+or the :func:`repro.core.simulator.simulate` facade;
+``tests/test_backend_parity.py`` is the contract that keeps the two
+backends equivalent, and ``tests/test_kernel_fused.py`` holds the kernel to
+the per-tile reference loop.
 """
 
 from repro.fastpath.compiler import (

@@ -2,11 +2,13 @@
 
 The structural chip executes one sample at a time by pushing spike packets
 through Python objects.  The vectorized backend instead *compiles* the chip
-once: every programmed tile is captured as a dense differential-conductance
-matrix (exactly the values the MCA would apply), the data-independent event
-activity of one timestep is pre-counted into a :class:`StaticStepEvents`
-schedule, and the data-dependent crossbar read energy is tabulated per
-possible active-row count through the very same
+once: each layer's tiles are laid out as the chip's crossbar grid — one
+``(row blocks, g_rows, column blocks, g_cols)`` tensor of the differential
+conductances the MCAs apply (:class:`FusedLayer`), of which every
+:class:`CompiledTile` holds a view — the data-independent event activity of
+one timestep is pre-counted into a :class:`StaticStepEvents` schedule, and
+the data-dependent crossbar read energy is tabulated per possible
+active-row count through the very same
 :class:`~repro.crossbar.energy.CrossbarEnergyModel` the structural MCA calls.
 
 The compiled program is immutable and holds no references to the live chip
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,11 +46,12 @@ class CompiledTile:
     """One programmed MCA, captured as dense arrays.
 
     ``conductance_diff`` is the full-geometry ``g_positive - g_negative``
-    matrix; evaluating ``(x * V_read) @ conductance_diff * scale / lsb``
-    reproduces, operation for operation, what
-    :meth:`repro.crossbar.mca.CrossbarArray.evaluate` computes for an ideal
-    device, so the vectorized drive matches the structural drive bit for bit.
-    ``read_cost_j[a]`` is the energy of one evaluation with ``a`` active rows.
+    matrix, held as a read-only view of the tile's block in its layer's
+    :attr:`FusedLayer.conductance` (the program stores each conductance
+    once).  Evaluating ``(x * V_read) @ conductance_diff * scale / lsb`` is
+    what :meth:`repro.crossbar.mca.CrossbarArray.evaluate` computes for an
+    ideal device.  ``read_cost_j[a]`` is the energy of one evaluation with
+    ``a`` active rows.
     """
 
     layer_index: int
@@ -73,74 +76,99 @@ class CompiledTile:
 
 @dataclass(frozen=True)
 class FusedLayer:
-    """A layer's tiles packed for one batched matmul per timestep.
+    """A layer's tiles laid out as the chip's crossbar grid.
 
-    Every tile of a layer shares the full crossbar geometry, so the tiles
-    stack into one ``(tiles, geom_rows, geom_cols)`` conductance tensor and
-    the per-timestep inner loop collapses to a single
-    ``(tiles, batch, rows) @ (tiles, rows, cols)`` stacked product — the
-    same per-slice ``dgemm`` the per-tile loop issued, so the drive is
-    bit-identical.  The gather/scatter index tables record where each
-    tile's input rows come from and where its output columns accumulate;
-    the engine applies the scatter **in placement order**, preserving the
-    structural accumulation-order contract.
+    The chip builder cuts a layer into ``R`` row blocks × ``C`` column
+    blocks of full crossbar geometry (paper §3.1.1): the ``C`` crossbars of
+    one row block read the same input lines, and the partial sums of
+    successive row blocks accumulate onto each neuron.  Stored that way, row
+    block ``r`` is one ``(g_rows, C·g_cols)`` GEMM operand
+    (:attr:`row_blocks`) that reads a column slice of the zero-padded layer
+    input, and its partial sum adds onto the drive in one call — in the
+    placement order the structural chip accumulates in.
     """
 
-    #: Stacked ``conductance_diff`` matrices, ``(tiles, geom_rows, geom_cols)``.
+    #: ``g_positive - g_negative`` of tile ``(r, c)`` at
+    #: ``conductance[r, :, c, :]``, shape ``(R, g_rows, C, g_cols)``.
     conductance: np.ndarray
-    #: Per-tile ``scale`` factors shaped for broadcasting, ``(tiles, 1, 1)``.
+    #: The ``scale`` shared by the tiles of each row block, ``(R,)``.
     scales: np.ndarray
-    #: Row gather table: input slice ``[row_starts[k]:row_stops[k]]`` fills
-    #: the first ``rows[k]`` rows of tile ``k``'s block (rest stays zero).
-    row_starts: np.ndarray
-    row_stops: np.ndarray
-    rows: np.ndarray
-    #: Column scatter table: the first ``cols[k]`` columns of tile ``k``'s
-    #: partial sum accumulate into ``drive[:, col_starts[k]:col_stops[k]]``.
-    col_starts: np.ndarray
-    col_stops: np.ndarray
-    cols: np.ndarray
-    #: Flattened per-tile read-cost tables plus the per-tile offsets into
-    #: them: the cost of tile ``k`` with ``a`` active rows is
-    #: ``read_cost_flat[cost_offsets[k] + a]`` — one batched ``np.take``
-    #: replaces per-tile fancy-indexing lookups.
-    read_cost_flat: np.ndarray
-    cost_offsets: np.ndarray
+    #: Read energy of row block ``r`` with ``a`` active input rows at
+    #: ``read_cost[r, a]``: the sum of its ``C`` tiles' cost tables (they
+    #: all see the same active rows), ``(R, g_rows + 1)``.
+    read_cost: np.ndarray
 
     @property
     def n_tiles(self) -> int:
-        return self.conductance.shape[0]
+        return self.conductance.shape[0] * self.conductance.shape[2]
 
     @property
     def geometry(self) -> tuple[int, int]:
         """Full crossbar geometry ``(rows, columns)`` shared by the tiles."""
-        return self.conductance.shape[1], self.conductance.shape[2]
+        return self.conductance.shape[1], self.conductance.shape[3]
+
+    @property
+    def row_blocks(self) -> np.ndarray:
+        """``(R, g_rows, C·g_cols)`` view: row block ``r`` as one GEMM operand."""
+        n_row_blocks, g_rows, n_col_blocks, g_cols = self.conductance.shape
+        return self.conductance.reshape(n_row_blocks, g_rows, n_col_blocks * g_cols)
 
 
-def _fuse_tiles(tiles: tuple[CompiledTile, ...]) -> FusedLayer:
-    """Stack a layer's tiles (placement order) into fused tensors."""
-    geometry = tiles[0].conductance_diff.shape
-    for tile in tiles:
-        if tile.conductance_diff.shape != geometry:
+def _fuse_tiles(
+    tiles: list[CompiledTile], n_in: int, n_out: int
+) -> tuple[FusedLayer, tuple[CompiledTile, ...]]:
+    """Lay a layer's tiles (placement order) out as its crossbar grid.
+
+    Tile ``k = r·C + c`` must cover rows from ``r·g_rows`` and columns from
+    ``c·g_cols`` with the geometry and scale of the layer's other tiles in
+    row block ``r`` — what :meth:`ResparcChip.from_spiking_network`
+    programs; anything else raises ``ValueError``.  Returns the fused layer
+    and the tiles re-pointed at their (read-only) blocks of its conductance
+    tensor.
+    """
+    g_rows, g_cols = tiles[0].conductance_diff.shape
+    n_row_blocks = -(-n_in // g_rows)
+    n_col_blocks = -(-n_out // g_cols)
+    if len(tiles) != n_row_blocks * n_col_blocks:
+        raise ValueError(
+            f"layer {tiles[0].layer_index}: {len(tiles)} tiles do not form the "
+            f"{n_row_blocks}x{n_col_blocks} crossbar grid of a {n_in}x{n_out} layer"
+        )
+    conductance = np.zeros((n_row_blocks, g_rows, n_col_blocks, g_cols))
+    scales = np.array([tiles[r * n_col_blocks].scale for r in range(n_row_blocks)])
+    read_cost = np.zeros((n_row_blocks, g_rows + 1))
+    for k, tile in enumerate(tiles):
+        r, c = divmod(k, n_col_blocks)
+        expected = (
+            r * g_rows,
+            min((r + 1) * g_rows, n_in),
+            c * g_cols,
+            min((c + 1) * g_cols, n_out),
+            (g_rows, g_cols),
+            scales[r],
+        )
+        placed = (
+            tile.row_start,
+            tile.row_stop,
+            tile.column_start,
+            tile.column_stop,
+            tile.conductance_diff.shape,
+            tile.scale,
+        )
+        if placed != expected:
             raise ValueError(
-                f"cannot fuse tiles with mixed crossbar geometries: "
-                f"{tile.conductance_diff.shape} vs {geometry}"
+                f"layer {tile.layer_index}: tile {k} has (rows, columns, geometry, "
+                f"scale) {placed}; grid block ({r}, {c}) needs {expected}"
             )
-    table_len = len(tiles[0].read_cost_j)
-    return FusedLayer(
-        conductance=np.ascontiguousarray(
-            np.stack([tile.conductance_diff for tile in tiles])
-        ),
-        scales=np.array([tile.scale for tile in tiles]).reshape(-1, 1, 1),
-        row_starts=np.array([tile.row_start for tile in tiles], dtype=np.int64),
-        row_stops=np.array([tile.row_stop for tile in tiles], dtype=np.int64),
-        rows=np.array([tile.rows for tile in tiles], dtype=np.int64),
-        col_starts=np.array([tile.column_start for tile in tiles], dtype=np.int64),
-        col_stops=np.array([tile.column_stop for tile in tiles], dtype=np.int64),
-        cols=np.array([tile.columns for tile in tiles], dtype=np.int64),
-        read_cost_flat=np.concatenate([tile.read_cost_j for tile in tiles]),
-        cost_offsets=(np.arange(len(tiles), dtype=np.int64) * table_len).reshape(-1, 1),
+        conductance[r, :, c] = tile.conductance_diff
+        read_cost[r] += tile.read_cost_j
+    conductance.flags.writeable = False
+    fused = FusedLayer(conductance=conductance, scales=scales, read_cost=read_cost)
+    blocks = tuple(
+        replace(tile, conductance_diff=conductance[k // n_col_blocks, :, k % n_col_blocks])
+        for k, tile in enumerate(tiles)
     )
+    return fused, blocks
 
 
 @dataclass(frozen=True)
@@ -160,7 +188,7 @@ class CompiledLayer:
     needs_bus_transfer: bool
     #: Words of one output vector on the bus / in the input SRAM.
     output_words: int
-    #: The layer's tiles packed for the fused kernel (same placement order).
+    #: The layer's tiles as the crossbar grid the fused kernel runs.
     fused: FusedLayer
 
 
@@ -257,7 +285,7 @@ def _compile_chip(chip: ResparcChip) -> CompiledChip:
     layers: list[CompiledLayer] = []
     for position, layer_index in enumerate(chip.layer_order):
         n_in, n_out = chip.dims_for(layer_index)
-        tiles: list[CompiledTile] = []
+        placed: list[CompiledTile] = []
         destinations: dict[tuple[int, int], None] = {}
         for tile in chip.tiles_for_layer(layer_index):
             destinations.setdefault((tile.neurocell_index, tile.mpe_index))
@@ -283,7 +311,7 @@ def _compile_chip(chip: ResparcChip) -> CompiledChip:
                 ]
             )
             a = tile.assignment
-            tiles.append(
+            placed.append(
                 CompiledTile(
                     layer_index=layer_index,
                     row_start=a.row_start,
@@ -295,6 +323,7 @@ def _compile_chip(chip: ResparcChip) -> CompiledChip:
                     read_cost_j=read_cost_j,
                 )
             )
+        fused, tiles = _fuse_tiles(placed, n_in, n_out)
         needs_bus = False
         if position + 1 < len(chip.layer_order):
             cells_here = {t.neurocell_index for t in chip.tiles_for_layer(layer_index)}
@@ -309,12 +338,12 @@ def _compile_chip(chip: ResparcChip) -> CompiledChip:
                 n_in=n_in,
                 n_out=n_out,
                 threshold=chip.threshold_for(layer_index),
-                tiles=tuple(tiles),
+                tiles=tiles,
                 destinations=len(destinations),
                 input_packets=_chunks(n_in, config.packet_bits),
                 needs_bus_transfer=needs_bus,
                 output_words=_chunks(n_out, config.word_bits),
-                fused=_fuse_tiles(tuple(tiles)),
+                fused=fused,
             )
         )
 

@@ -1,40 +1,44 @@
 """Vectorized batch execution of a compiled RESPARC chip.
 
-The engine advances the whole batch through the layer pipeline one timestep
-at a time.  The default path is **layer-fused**: each layer's tiles were
-packed at compile time into one stacked conductance tensor
-(:class:`~repro.fastpath.compiler.FusedLayer`), so a layer evaluates as a
-single ``(tiles, batch, rows) @ (tiles, rows, cols)`` product — the same
-per-slice ``dgemm`` the per-tile loop issued — with partial sums scattered
-into the layer drive **in placement order**.  All work buffers live in a
-:class:`~repro.fastpath.plan.KernelPlan` scratch arena written with
-``out=``/in-place operations, so steady-state timesteps allocate nothing;
-callers that repeat an execution shape pass a cached plan
-(:class:`~repro.fastpath.plan.PlanCache`) and skip even the first-run
-allocation cost.
+The default path follows the chip's crossbar grid and runs **layer-major
+over chunks of timesteps**.  A chunk is a run of consecutive timesteps whose
+rows (timesteps × batch) fit :data:`~repro.fastpath.plan.CHUNK_ROWS`.  Each
+layer evaluates a whole chunk before the next layer runs — valid because
+layer ``l`` at step ``t`` depends only on layer ``l - 1`` at step ``t`` and
+on its own membrane at ``t - 1``:
 
-Data-independent event bookkeeping is hoisted out of the timestep loop:
-the input train's IO-bus words are counted in one vectorized pass over the
-whole ``(timesteps, batch, n_in)`` array, per-layer packet/destination
-constants are pretabulated, and the per-tile ``read_cost_j`` lookups run
-as one batched gather per layer.
+* one GEMM per crossbar row block
+  (:attr:`~repro.fastpath.compiler.FusedLayer.row_blocks`) reads a column
+  slice of the zero-padded layer input, its partial sum is scaled and
+  divided by the current LSB in two separate elementwise passes, and one
+  add per row block accumulates it onto the drive in placement order;
+* active input rows are counted once per row block from the input's nonzero
+  mask and priced by the row block's read-cost table;
+* the IF update — :class:`repro.snn.neuron.IFNeuronPool`'s elementwise
+  code path for the compiled regime (subtract reset, no leak/refractory) —
+  is replayed timestep by timestep, carrying each layer's membrane from
+  chunk to chunk;
+* packets and bus words are counted on the chunk's spikes: switch hops and
+  suppressed packets are linear in the per-step live counts, so per-chunk
+  totals give the same integers.
 
-Arithmetic parity with the structural chip is deliberate, not approximate:
+All work buffers live in a :class:`~repro.fastpath.plan.KernelPlan`, shared
+by the layers and written with ``out=``/in-place operations; callers that
+repeat an execution shape pass a cached plan
+(:class:`~repro.fastpath.plan.PlanCache`).
 
-* tiles are evaluated in the structural placement order and their partial
-  sums are accumulated into the layer drive in that same order,
-* each tile's input block is zero-padded to the full crossbar geometry and
-  multiplied against the full differential-conductance matrix, mirroring
-  :meth:`repro.crossbar.mca.CrossbarArray.evaluate` operation for operation,
-* the IF neuron update replays :class:`repro.snn.neuron.IFNeuronPool`'s
-  elementwise code path (subtract reset, no leak/refractory — the only
-  regime compiled programs use), batched over samples.
-
-Predictions and spike counts therefore match the structural backend exactly;
-energy totals agree to floating-point accumulation order (<< 1e-9 relative).
-:meth:`VectorizedChipEngine.run_batch_reference` keeps the original
-``timesteps × layers × tiles`` triple loop alive as the parity oracle the
-property suite checks the fused kernel against.
+What is exact, and why.  Predictions, spike counts and every integer event
+counter equal the structural chip's and the per-tile reference loop's;
+crossbar energy agrees within 1e-9 relative (the kernel sums it over
+(row, row block) instead of (row, tile)).  Drives — hence membranes — can
+differ from the reference in the last bits: a BLAS product may round a row
+differently depending on the GEMM height, and chunking makes the height
+``chunk × batch`` where the reference multiplies ``batch`` rows (at batch 1
+NumPy even hands the reference's one-row product to a matrix-vector
+routine).  Pool sharding and server coalescing vary the height the same
+way.  :meth:`VectorizedChipEngine.run_batch_reference` keeps the
+``timesteps × layers × tiles`` loop alive as the parity oracle the property
+suite checks the kernel against.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import numpy as np
 
 from repro.core.stats import EventCounters
 from repro.fastpath.compiler import CompiledChip, CompiledLayer, compile_chip
-from repro.fastpath.plan import KernelPlan
+from repro.fastpath.plan import KernelPlan, head
 from repro.snn.neuron import IFNeuronParameters, IFNeuronPool
 
 __all__ = ["BatchRunOutcome", "VectorizedChipEngine"]
@@ -109,9 +113,9 @@ class VectorizedChipEngine:
     ) -> BatchRunOutcome:
         """Run an encoded spike train of shape ``(timesteps, batch, n_in)``.
 
-        ``plan`` supplies the preallocated scratch arena for this execution
-        shape; omitted, a fresh one is built (and discarded).  Returns
-        per-sample output spike counts and predictions plus the aggregate
+        ``plan`` supplies the preallocated scratch for this execution shape;
+        omitted, a fresh one is built (and discarded).  Returns per-sample
+        output spike counts and predictions plus the aggregate
         :class:`EventCounters` of the run (the same totals the structural
         chip's components would have accumulated).
         """
@@ -129,86 +133,76 @@ class VectorizedChipEngine:
         lsb = program.current_lsb_a
         event_driven = program.event_driven
         layers = program.layers
-        arenas = plan.layers
         last_index = len(layers) - 1
 
         crossbar_energy = 0.0
         switch_hops = 0
         suppressed_packets = 0
         io_bus_words = 0
-
-        # Input-train bookkeeping, hoisted: IO-bus words over the whole
-        # train in one pass, and the first layer's live packet counts per
-        # timestep (later layers derive theirs from the spikes they just
-        # produced).
-        input_live = None
-        if event_driven:
-            flat = train.reshape(timesteps * batch, n_in)
-            io_bus_words += plan.input_word_scratch.count_total(flat)
-            input_live = plan.input_packet_scratch.count_per_group(flat, timesteps)
-        # Pretabulated per-layer constants of the event-driven suppression
-        # arithmetic (data-independent, formerly recomputed every timestep).
-        full_packets = [batch * layer.input_packets * layer.destinations for layer in layers]
-
         live = 0
-        for t in range(timesteps):
+
+        for start in range(0, timesteps, plan.chunk):
+            steps = min(plan.chunk, timesteps - start)
+            rows = steps * batch
+            chunk_in = train[start : start + steps].reshape(rows, n_in)
+            if event_driven:
+                io_bus_words += plan.input_word_scratch.count_total(chunk_in)
+                live = plan.input_packet_scratch.count_total(chunk_in)
+            np.multiply(chunk_in, voltage, out=plan.layer_input(0, rows)[:, :n_in])
             for index, layer in enumerate(layers):
-                arena = arenas[index]
                 fused = layer.fused
+                state = plan.layers[index]
+                blocks = fused.row_blocks
+                n_blocks, g_rows, width = blocks.shape
+                x = plan.layer_input(index, rows)
+                # The last row block's padding: zero, though a wider layer
+                # sharing this buffer may have written there.
+                x[:, layer.n_in :].fill(0.0)
                 if event_driven:
-                    if index == 0:
-                        live = int(input_live[t])
                     delivered = live * layer.destinations
                     switch_hops += delivered
-                    suppressed_packets += full_packets[index] - delivered
-                if index == 0:
-                    # Mirrors CrossbarArray.evaluate: x*V through the
-                    # differential conductances (pre-scaling the layer input
-                    # once instead of every padded tile block).
-                    np.multiply(train[t], voltage, out=arena.scaled_in)
-                # Gather into the stacked blocks through the arena's fixed
-                # view pairs — one plain copy per tile, no per-step slicing.
-                for dst, src in arena.gather:
-                    np.copyto(dst, src)
-                # One stacked matmul evaluates every tile of the layer.
-                np.matmul(arena.blocks, fused.conductance, out=arena.partial)
-                # Batched active-row energy: count nonzero rows per (tile,
-                # sample), then gather every read cost in one take().
-                np.not_equal(arena.blocks, 0.0, out=arena.nonzero)
-                arena.nonzero.sum(axis=2, out=arena.active)
-                np.add(arena.active, fused.cost_offsets, out=arena.cost_index)
-                fused.read_cost_flat.take(arena.cost_index, out=arena.cost)
-                crossbar_energy += float(arena.cost.sum())
-                # Currents back to weighted sums: * scale / lsb, in place.
-                np.multiply(arena.partial, fused.scales, out=arena.partial)
-                np.divide(arena.partial, lsb, out=arena.partial)
-                # Placement-order accumulation — the parity contract.
-                arena.drive.fill(0.0)
-                for dst, src in arena.scatter:
-                    np.add(dst, src, out=dst)
-                # IF update, replaying IFNeuronPool.step's elementwise path
-                # for the compiled regime (subtract reset, no leak, no
-                # refractory) on the arena's membrane state.
-                np.add(arena.membrane, arena.drive, out=arena.membrane)
-                np.greater_equal(arena.membrane, layer.threshold, out=arena.spike_bool)
-                np.subtract(
-                    arena.membrane,
-                    layer.threshold,
-                    out=arena.membrane,
-                    where=arena.spike_bool,
+                    suppressed_packets += (
+                        rows * layer.input_packets * layer.destinations - delivered
+                    )
+                # Read energy: active rows per (row, row block), priced by
+                # the row block's cost table.
+                nonzero = head(plan.nonzero, rows, n_blocks * g_rows)
+                np.not_equal(x, 0.0, out=nonzero)
+                active = head(plan.active, rows, n_blocks)
+                nonzero.reshape(rows, n_blocks, g_rows).sum(axis=2, out=active)
+                crossbar_energy += float(
+                    np.take_along_axis(fused.read_cost, active.T, axis=1).sum()
                 )
-                np.copyto(arena.spikes, arena.spike_bool, casting="safe")
+                # One GEMM per row block; currents back to weighted sums
+                # (* scale, then / lsb), accumulated in placement order.
+                partial = head(plan.partial, rows, width)
+                drive = head(plan.drive, rows, width)
+                drive.fill(0.0)
+                for r in range(n_blocks):
+                    np.matmul(x[:, r * g_rows : (r + 1) * g_rows], blocks[r], out=partial)
+                    np.multiply(partial, fused.scales[r], out=partial)
+                    np.divide(partial, lsb, out=partial)
+                    np.add(drive, partial, out=drive)
+                # The IF update, one timestep of the chunk at a time.
+                membrane = state.membrane
+                spikes = head(plan.spikes, rows, layer.n_out)
+                for step in range(0, rows, batch):
+                    fired = spikes[step : step + batch]
+                    np.add(membrane, drive[step : step + batch, : layer.n_out], out=membrane)
+                    np.greater_equal(membrane, layer.threshold, out=fired)
+                    np.subtract(membrane, layer.threshold, out=membrane, where=fired)
                 if event_driven and layer.needs_bus_transfer:
-                    io_bus_words += arena.word_scratch.count_total(arena.spikes)
+                    io_bus_words += state.word_scratch.count_total(spikes)
                 if index < last_index:
                     if event_driven:
-                        live = arena.packet_scratch.count_total(arena.spikes)
+                        live = state.packet_scratch.count_total(spikes)
                     np.multiply(
-                        arena.spikes, voltage, out=arenas[index + 1].scaled_in
+                        spikes, voltage, out=plan.layer_input(index + 1, rows)[:, : layer.n_out]
                     )
-            np.add(plan.spike_counts, arenas[last_index].spikes, out=plan.spike_counts)
+                else:
+                    plan.spike_counts += spikes.reshape(steps, batch, -1).sum(axis=0)
 
-        scores = plan.spike_counts + 1e-3 * arenas[last_index].membrane
+        scores = plan.spike_counts + 1e-3 * plan.layers[last_index].membrane
         predictions = np.argmax(scores, axis=1).astype(int)
 
         counters = self._gather_counters(
@@ -219,8 +213,8 @@ class VectorizedChipEngine:
             io_bus_words,
         )
         return BatchRunOutcome(
-            # The arena is reused by the next run on this shape; the
-            # outcome must own its spike counts.
+            # The plan is reused by the next run on this shape; the outcome
+            # must own its spike counts.
             spike_counts=plan.spike_counts.copy(),
             predictions=predictions,
             counters=counters,
@@ -254,12 +248,14 @@ class VectorizedChipEngine:
         return drive
 
     def run_batch_reference(self, spike_train: np.ndarray) -> BatchRunOutcome:
-        """The pre-fusion ``timesteps × layers × tiles`` loop, kept verbatim.
+        """The ``timesteps × layers × tiles`` loop, one tile at a time.
 
-        This is the parity oracle: the fused kernel must be bit-identical
-        to it (the hypothesis suite in ``tests/test_kernel_fused.py``
-        asserts exactly that across randomized geometries), and the kernel
-        benchmark measures the fused speedup against it.
+        This is the parity oracle: the fused kernel must match its
+        predictions, spike counts and integer counters exactly and its
+        crossbar energy within 1e-9 relative (the hypothesis suite in
+        ``tests/test_kernel_fused.py`` asserts that across randomized
+        geometries and chunkings), and the kernel benchmark measures the
+        fused speedup against it.
         """
         program = self.program
         train = self._validate_train(spike_train)

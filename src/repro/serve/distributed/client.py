@@ -442,6 +442,10 @@ class PipelinedSession:
                 fresh.close()
                 return current
             self._connections[open_slot] = fresh
+        if current is not None:
+            # The dead connection leaves the pool: release its socket now
+            # rather than at garbage collection.
+            current.close()
         return fresh
 
     # -- protocol -----------------------------------------------------------------

@@ -922,6 +922,7 @@ class TestReconnect:
         pipelined = PipelinedSession(host, port, timeout=30)
         try:
             _assert_identical(expected, pipelined.infer(request))
+            before = [c for c in pipelined._connections if c is not None]
             server.close()
             reborn = ChipServer(
                 _fresh_session(workload), host=host, port=port, workload="restart"
@@ -929,6 +930,10 @@ class TestReconnect:
             try:
                 # Idempotent ops resend on a fresh connection transparently.
                 assert pipelined.ping(timeout=30)
+                replaced = [c for c in before if c not in pipelined._connections]
+                assert replaced, "the restart replaced no connection"
+                # A replaced connection is closed, not left to the collector.
+                assert all(c._socket.fileno() == -1 for c in replaced)
                 assert pipelined.info(refresh=True, timeout=30)["workload"] == "restart"
                 _assert_identical(expected, pipelined.infer(request))
             finally:

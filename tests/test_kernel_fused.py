@@ -1,17 +1,20 @@
-"""The fused kernel against the per-tile reference loop — bit for bit.
+"""The fused kernel against the per-tile reference loop.
 
-:meth:`VectorizedChipEngine.run_batch` packs each layer's tiles into one
-stacked tensor and evaluates it as a single batched matmul per timestep;
-:meth:`VectorizedChipEngine.run_batch_reference` keeps the original
+:meth:`VectorizedChipEngine.run_batch` runs layer-major over chunks of
+timesteps with one GEMM per crossbar row block;
+:meth:`VectorizedChipEngine.run_batch_reference` keeps the
 ``timesteps × layers × tiles`` loop alive as the parity oracle.  The
-contract is *bit identity*, not approximation: the fused kernel reorders
-no accumulation the reference performs (partial sums land in placement
-order, scale/LSB stay separate elementwise passes), so predictions, spike
-counts, every integer event counter and the crossbar energy must match
-exactly across arbitrary geometries.  The hypothesis suite drives that
-across ragged tile splits, single-tile layers, batch 1 and both
-event-driven settings; the deterministic tests pin the plan/arena and
-plan-cache mechanics.
+contract: predictions, spike counts and every integer event counter match
+exactly, and the crossbar energy within 1e-9 relative (the kernel sums it
+over (row, row block) rather than (row, tile)).  Drives may differ in the
+last bits — a BLAS product can round a row differently at another GEMM
+height, and chunking multiplies ``chunk × batch`` rows where the reference
+multiplies ``batch`` — which the exact checks would expose if it ever moved
+a spike.  The hypothesis suite drives the contract across ragged tile
+splits, single-tile layers, batch 1, batches above one chunk's rows, several
+chunks with a short last one, and both event-driven settings; the
+deterministic tests pin the plan and plan-cache mechanics and the grid
+layout the compiler accepts.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ArchitectureConfig, ChipSimulator
-from repro.fastpath import KernelPlan, PlanCache, VectorizedChipEngine
+from repro.fastpath import KernelPlan, PlanCache, VectorizedChipEngine, compile_chip
 from repro.snn import Dense, Network, convert_to_snn
 
 
@@ -73,8 +76,8 @@ class TestFusedKernelProperties:
         dims=st.lists(st.integers(min_value=3, max_value=40), min_size=2, max_size=4),
         crossbar=st.sampled_from([8, 16]),
         event_driven=st.booleans(),
-        batch=st.sampled_from([1, 3]),
-        timesteps=st.integers(min_value=1, max_value=5),
+        batch=st.sampled_from([1, 3, 65]),
+        timesteps=st.integers(min_value=1, max_value=30),
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_fused_matches_reference(
@@ -114,6 +117,50 @@ class TestFusedKernelDeterministic:
         _assert_bit_identical(
             engine.run_batch_reference(train), engine.run_batch(train)
         )
+
+    def test_short_last_chunk_and_plan_reuse(self):
+        """Batch 20 runs chunks of 3 timesteps, so T=7 ends on a chunk of 1;
+        a plan reused for a second train must match a fresh plan."""
+        engine = _engine((40, 24, 6), crossbar=8, event_driven=True)
+        plan = KernelPlan(engine.program, 20, 7)
+        assert plan.chunk == 3
+        rng = np.random.default_rng(5)
+        train_a = (rng.random((7, 20, 40)) > 0.6).astype(float)
+        train_b = (rng.random((7, 20, 40)) > 0.3).astype(float)
+        _assert_bit_identical(
+            engine.run_batch_reference(train_a), engine.run_batch(train_a, plan=plan)
+        )
+        reused = engine.run_batch(train_b, plan=plan)
+        fresh = engine.run_batch(train_b)
+        _assert_bit_identical(engine.run_batch_reference(train_b), reused)
+        np.testing.assert_array_equal(reused.predictions, fresh.predictions)
+        np.testing.assert_array_equal(reused.spike_counts, fresh.spike_counts)
+        assert reused.counters.as_dict() == fresh.counters.as_dict()
+
+    def test_tiles_are_views_of_the_layer_grid(self):
+        """The program holds each conductance once, read-only."""
+        engine = _engine((20, 12, 5), crossbar=8, event_driven=True)
+        for layer in engine.program.layers:
+            fused = layer.fused
+            assert fused.n_tiles == len(layer.tiles)
+            for tile in layer.tiles:
+                assert np.shares_memory(tile.conductance_diff, fused.conductance)
+                assert not tile.conductance_diff.flags.writeable
+
+    def test_off_grid_tile_layout_rejected(self):
+        """Only the builder's row-major crossbar grid compiles."""
+        config = ArchitectureConfig(crossbar_rows=8, crossbar_columns=8)
+        rng = np.random.default_rng(9)
+        network = Network(
+            (20,),
+            [Dense(20, 12, activation=None, use_bias=False, rng=rng, name="fc")],
+            name="grid-mlp",
+        )
+        snn = convert_to_snn(network, rng.random((4, 20)))
+        chip = ChipSimulator(config=config).build_chip(snn)
+        chip.tiles.reverse()
+        with pytest.raises(ValueError, match="grid block"):
+            compile_chip(chip)
 
     def test_plan_reuse_resets_state(self):
         """The same plan must give identical outcomes run after run."""
