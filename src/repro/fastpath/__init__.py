@@ -7,14 +7,17 @@ package compiles a programmed chip into dense arrays
 chip's crossbar grid of row blocks × column blocks
 (:class:`~repro.fastpath.compiler.FusedLayer`), and replays whole batches
 through NumPy (:class:`~repro.fastpath.engine.VectorizedChipEngine`):
-layer-major over chunks of timesteps, one GEMM per crossbar row block.
-Work buffers live in reusable :class:`~repro.fastpath.plan.KernelPlan`
-scratch, cached per execution shape by
-:class:`~repro.fastpath.plan.PlanCache`.
+layer-major over chunks of timesteps, one GEMM per hidden layer and one per
+crossbar row block of the output layer.  Work buffers live in reusable
+:class:`~repro.fastpath.plan.KernelPlan` scratch, cached per execution shape
+by :class:`~repro.fastpath.plan.PlanCache`.
 
 Predictions, spike counts and every :class:`~repro.core.stats.EventCounters`
 integer equal the structural execution's; energy totals agree within 1e-9
-relative.  Select the backend through ``ChipSimulator(backend="vectorized")``
+relative.  Hidden-layer drives may differ in the last bits; the output
+layer, whose membrane breaks prediction ties, keeps the structural
+summation order, and the IF replay and the event counts are exact.  Select
+the backend through ``ChipSimulator(backend="vectorized")``
 or the :func:`repro.core.simulator.simulate` facade;
 ``tests/test_backend_parity.py`` is the contract that keeps the two
 backends equivalent, and ``tests/test_kernel_fused.py`` holds the kernel to

@@ -81,18 +81,24 @@ class FusedLayer:
     The chip builder cuts a layer into ``R`` row blocks × ``C`` column
     blocks of full crossbar geometry (paper §3.1.1): the ``C`` crossbars of
     one row block read the same input lines, and the partial sums of
-    successive row blocks accumulate onto each neuron.  Stored that way, row
-    block ``r`` is one ``(g_rows, C·g_cols)`` GEMM operand
-    (:attr:`row_blocks`) that reads a column slice of the zero-padded layer
-    input, and its partial sum adds onto the drive in one call — in the
-    placement order the structural chip accumulates in.
+    successive row blocks accumulate onto each neuron.  Every tile of the
+    layer is programmed with one weight scale (``max|W|`` of the layer).
+
+    Stored that way, the whole grid is one ``(R·g_rows, C·g_cols)`` GEMM
+    operand (:attr:`matrix`) over the zero-padded layer input, which is how
+    the kernel runs a hidden layer: the product sums the row blocks in
+    BLAS order, so its drives may differ from placement order in the last
+    bits.  Row block ``r`` alone is the ``(g_rows, C·g_cols)`` operand
+    ``row_blocks[r]``; the output layer adds those partial sums onto the
+    drive one row block at a time, in the placement order the structural
+    chip accumulates in, because its membrane breaks prediction ties.
     """
 
     #: ``g_positive - g_negative`` of tile ``(r, c)`` at
     #: ``conductance[r, :, c, :]``, shape ``(R, g_rows, C, g_cols)``.
     conductance: np.ndarray
-    #: The ``scale`` shared by the tiles of each row block, ``(R,)``.
-    scales: np.ndarray
+    #: The ``scale`` every tile of the layer is programmed with, 0-d.
+    scale: np.ndarray
     #: Read energy of row block ``r`` with ``a`` active input rows at
     #: ``read_cost[r, a]``: the sum of its ``C`` tiles' cost tables (they
     #: all see the same active rows), ``(R, g_rows + 1)``.
@@ -113,6 +119,12 @@ class FusedLayer:
         n_row_blocks, g_rows, n_col_blocks, g_cols = self.conductance.shape
         return self.conductance.reshape(n_row_blocks, g_rows, n_col_blocks * g_cols)
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """``(R·g_rows, C·g_cols)`` view: the whole grid as one GEMM operand."""
+        n_row_blocks, g_rows, n_col_blocks, g_cols = self.conductance.shape
+        return self.conductance.reshape(n_row_blocks * g_rows, n_col_blocks * g_cols)
+
 
 def _fuse_tiles(
     tiles: list[CompiledTile], n_in: int, n_out: int
@@ -120,11 +132,11 @@ def _fuse_tiles(
     """Lay a layer's tiles (placement order) out as its crossbar grid.
 
     Tile ``k = r·C + c`` must cover rows from ``r·g_rows`` and columns from
-    ``c·g_cols`` with the geometry and scale of the layer's other tiles in
-    row block ``r`` — what :meth:`ResparcChip.from_spiking_network`
-    programs; anything else raises ``ValueError``.  Returns the fused layer
-    and the tiles re-pointed at their (read-only) blocks of its conductance
-    tensor.
+    ``c·g_cols`` with the geometry and the scale of the layer's other tiles
+    — what :meth:`ResparcChip.from_spiking_network` programs, and what lets
+    the kernel scale a hidden layer's single GEMM once; anything else raises
+    ``ValueError`` naming the layer.  Returns the fused layer and the tiles
+    re-pointed at their (read-only) blocks of its conductance tensor.
     """
     g_rows, g_cols = tiles[0].conductance_diff.shape
     n_row_blocks = -(-n_in // g_rows)
@@ -135,7 +147,7 @@ def _fuse_tiles(
             f"{n_row_blocks}x{n_col_blocks} crossbar grid of a {n_in}x{n_out} layer"
         )
     conductance = np.zeros((n_row_blocks, g_rows, n_col_blocks, g_cols))
-    scales = np.array([tiles[r * n_col_blocks].scale for r in range(n_row_blocks)])
+    scale = tiles[0].scale
     read_cost = np.zeros((n_row_blocks, g_rows + 1))
     for k, tile in enumerate(tiles):
         r, c = divmod(k, n_col_blocks)
@@ -145,7 +157,7 @@ def _fuse_tiles(
             c * g_cols,
             min((c + 1) * g_cols, n_out),
             (g_rows, g_cols),
-            scales[r],
+            scale,
         )
         placed = (
             tile.row_start,
@@ -163,7 +175,9 @@ def _fuse_tiles(
         conductance[r, :, c] = tile.conductance_diff
         read_cost[r] += tile.read_cost_j
     conductance.flags.writeable = False
-    fused = FusedLayer(conductance=conductance, scales=scales, read_cost=read_cost)
+    fused = FusedLayer(
+        conductance=conductance, scale=np.array(scale), read_cost=read_cost
+    )
     blocks = tuple(
         replace(tile, conductance_diff=conductance[k // n_col_blocks, :, k % n_col_blocks])
         for k, tile in enumerate(tiles)

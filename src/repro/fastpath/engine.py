@@ -7,17 +7,21 @@ layer evaluates a whole chunk before the next layer runs — valid because
 layer ``l`` at step ``t`` depends only on layer ``l - 1`` at step ``t`` and
 on its own membrane at ``t - 1``:
 
-* one GEMM per crossbar row block
-  (:attr:`~repro.fastpath.compiler.FusedLayer.row_blocks`) reads a column
-  slice of the zero-padded layer input, its partial sum is scaled and
-  divided by the current LSB in two separate elementwise passes, and one
-  add per row block accumulates it onto the drive in placement order;
+* a hidden layer is one GEMM of the zero-padded layer input with its whole
+  grid (:attr:`~repro.fastpath.compiler.FusedLayer.matrix`), whose product
+  is scaled and divided by the current LSB in two separate elementwise
+  passes — the layer's tiles share one scale;
+* the output layer runs one GEMM per crossbar row block
+  (:attr:`~repro.fastpath.compiler.FusedLayer.row_blocks`) on a column slice
+  of its input, scales each partial sum the same way and adds it onto the
+  drive in placement order;
 * active input rows are counted once per row block from the input's nonzero
   mask and priced by the row block's read-cost table;
 * the IF update — :class:`repro.snn.neuron.IFNeuronPool`'s elementwise
   code path for the compiled regime (subtract reset, no leak/refractory) —
   is replayed timestep by timestep, carrying each layer's membrane from
-  chunk to chunk;
+  chunk to chunk; the reset subtracts ``fired × threshold`` from every
+  neuron;
 * packets and bus words are counted on the chunk's spikes: switch hops and
   suppressed packets are linear in the per-step live counts, so per-chunk
   totals give the same integers.
@@ -30,15 +34,20 @@ repeat an execution shape pass a cached plan
 What is exact, and why.  Predictions, spike counts and every integer event
 counter equal the structural chip's and the per-tile reference loop's;
 crossbar energy agrees within 1e-9 relative (the kernel sums it over
-(row, row block) instead of (row, tile)).  Drives — hence membranes — can
-differ from the reference in the last bits: a BLAS product may round a row
-differently depending on the GEMM height, and chunking makes the height
+(row, row block) instead of (row, tile)).  Hidden-layer drives can differ
+from the reference in the last bits: the single GEMM sums the row blocks in
+BLAS order rather than placement order, and a BLAS product may round a row
+differently depending on the GEMM height — chunking makes the height
 ``chunk × batch`` where the reference multiplies ``batch`` rows (at batch 1
 NumPy even hands the reference's one-row product to a matrix-vector
 routine).  Pool sharding and server coalescing vary the height the same
-way.  :meth:`VectorizedChipEngine.run_batch_reference` keeps the
-``timesteps × layers × tiles`` loop alive as the parity oracle the property
-suite checks the kernel against.
+way.  Those drives reach the outputs only through ``membrane >= threshold``.
+The output layer keeps the structural summation order, because its
+membrane breaks ties in ``argmax(spike_counts + 1e-3 · membrane)``.  The IF
+replay is exact (``m - 0.0 == m`` for the neurons that did not fire), and
+so are the chunk counts.  :meth:`VectorizedChipEngine.run_batch_reference`
+keeps the ``timesteps × layers × tiles`` loop alive as the parity oracle
+the property suite checks the kernel against.
 """
 
 from __future__ import annotations
@@ -173,24 +182,36 @@ class VectorizedChipEngine:
                 crossbar_energy += float(
                     np.take_along_axis(fused.read_cost, active.T, axis=1).sum()
                 )
-                # One GEMM per row block; currents back to weighted sums
-                # (* scale, then / lsb), accumulated in placement order.
-                partial = head(plan.partial, rows, width)
+                # Currents back to weighted sums: * scale, then / lsb, in two
+                # passes as CrossbarArray.evaluate rounds them.
                 drive = head(plan.drive, rows, width)
-                drive.fill(0.0)
-                for r in range(n_blocks):
-                    np.matmul(x[:, r * g_rows : (r + 1) * g_rows], blocks[r], out=partial)
-                    np.multiply(partial, fused.scales[r], out=partial)
-                    np.divide(partial, lsb, out=partial)
-                    np.add(drive, partial, out=drive)
-                # The IF update, one timestep of the chunk at a time.
+                if index < last_index:
+                    # A hidden layer is one GEMM over its whole grid.
+                    np.matmul(x, fused.matrix, out=drive)
+                    np.multiply(drive, fused.scale, out=drive)
+                    np.divide(drive, lsb, out=drive)
+                else:
+                    # The output layer's membrane breaks prediction ties, so
+                    # its row blocks accumulate in placement order.
+                    partial = head(plan.partial, rows, width)
+                    drive.fill(0.0)
+                    for r in range(n_blocks):
+                        np.matmul(x[:, r * g_rows : (r + 1) * g_rows], blocks[r], out=partial)
+                        np.multiply(partial, fused.scale, out=partial)
+                        np.divide(partial, lsb, out=partial)
+                        np.add(drive, partial, out=drive)
+                # The IF update, one timestep of the chunk at a time.  The
+                # reset subtracts fired * threshold from every neuron, which
+                # leaves the unfired ones exact (m - 0.0 == m).
                 membrane = state.membrane
                 spikes = head(plan.spikes, rows, layer.n_out)
+                reset = head(plan.partial, batch, layer.n_out)
                 for step in range(0, rows, batch):
                     fired = spikes[step : step + batch]
                     np.add(membrane, drive[step : step + batch, : layer.n_out], out=membrane)
                     np.greater_equal(membrane, layer.threshold, out=fired)
-                    np.subtract(membrane, layer.threshold, out=membrane, where=fired)
+                    np.multiply(fired, layer.threshold, out=reset)
+                    np.subtract(membrane, reset, out=membrane)
                 if event_driven and layer.needs_bus_transfer:
                     io_bus_words += state.word_scratch.count_total(spikes)
                 if index < last_index:

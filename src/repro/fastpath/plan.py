@@ -6,12 +6,14 @@ timesteps)`` execution shape needs.  The engine runs layer-major over
 the buffers are sized by the rows of one chunk — ``chunk × batch``, about
 :data:`CHUNK_ROWS` — rather than by the whole spike train, and one scratch
 set serves every layer in turn: two ping-pong zero-padded layer inputs, one
-partial sum, one drive, the nonzero mask, the active-row counts and the
-chunk's spikes.  Per layer only the membrane, carried from chunk to chunk,
-and the event-driven chunk-count scratch of its output remain.  The engine
-writes the buffers with ``out=``/in-place operations, so steady-state
-chunks perform no O(rows × width) heap allocations: the first run on a
-shape pays the allocation cost once and every later run reuses the plan.
+drive, one partial sum (the output layer's row-block products, and the
+``fired × threshold`` reset of the IF replay), the nonzero mask, the
+active-row counts and the chunk's spikes.  Per layer only the membrane,
+carried from chunk to chunk, and the event-driven chunk-count scratch of its
+output remain.  The engine writes the buffers with ``out=``/in-place
+operations, so steady-state chunks perform no O(rows × width) heap
+allocations: the first run on a shape pays the allocation cost once and
+every later run reuses the plan.
 
 :class:`PlanCache` is a small keyed LRU over plans — ``(program, batch,
 timesteps)`` — that :class:`~repro.serve.ChipSession` consults per request.
@@ -27,7 +29,6 @@ across threads.
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
 
@@ -48,34 +49,33 @@ CHUNK_ROWS = 64
 class ChunkCountScratch:
     """Preallocated buffers for nonzero-chunk counting (integer-exact).
 
-    Mirrors :func:`repro.fastpath.engine._nonzero_chunk_counts`: values are
-    thresholded (``> 0``) into a zero-padded bool buffer whose width is a
-    multiple of ``chunk_bits``, then reduced chunk-wise.  A call counts up
-    to ``rows`` rows (a short last chunk uses the leading ones).  Only the
-    leading ``n`` columns are ever rewritten, so the padding stays zero for
-    the buffer's lifetime.
+    Gives the total of :func:`repro.fastpath.engine._nonzero_chunk_counts`
+    over the rows of ``values``: the ``chunk_bits``-wide chunks holding any
+    value ``> 0``, the last chunk of a row possibly shorter.  Bool values
+    (spikes) are read as bytes and OR-reduced from each chunk's first
+    column, which needs no padding and works at any chunk width; other
+    values are thresholded into a bool buffer first.  A call counts up to
+    ``rows`` rows (a short last chunk uses the leading ones).
     """
 
     def __init__(self, rows: int, n: int, chunk_bits: int):
         self.rows = rows
         self.n = n
         self.chunk_bits = chunk_bits
-        self.n_chunks = int(math.ceil(n / chunk_bits)) if n else 0
-        self._padded = np.zeros((rows, self.n_chunks * chunk_bits), dtype=bool)
-        self._any = np.zeros((rows, self.n_chunks), dtype=bool)
-
-        # Fixed views/reshapes, so counting is a handful of C calls.
-        self._target = self._padded[:, :n]
-        self._chunked = self._padded.reshape(rows, self.n_chunks, chunk_bits)
+        self._starts = np.arange(0, n, chunk_bits)
+        self.n_chunks = len(self._starts)
+        self._bits = np.zeros((rows, n), dtype=bool)
+        self._any = np.zeros((rows, self.n_chunks), dtype=np.uint8)
 
     def count_total(self, values: np.ndarray) -> int:
         """Total nonzero-chunk count over all rows of ``values``."""
         if self.n_chunks == 0:
             return 0
         rows = values.shape[0]
-        np.greater(values, 0, out=self._target[:rows])
+        if values.dtype != bool:
+            values = np.greater(values, 0, out=self._bits[:rows])
         reduced = self._any[:rows]
-        np.logical_or.reduce(self._chunked[:rows], axis=2, out=reduced)
+        np.bitwise_or.reduceat(values.view(np.uint8), self._starts, axis=1, out=reduced)
         return int(np.count_nonzero(reduced))
 
 

@@ -290,15 +290,15 @@ class ChipSession:
             plan, hit = self.plan_cache.get(
                 self._engine.program, spike_train.shape[1], spike_train.shape[0]
             )
+            metadata["plan"] = {
+                "cache": "hit" if hit else "miss",
+                "build_s": 0.0 if hit else time.monotonic() - plan_started,
+            }
             (self._m_plan_hits if hit else self._m_plan_misses).inc()
             outcome = self._engine.run_batch(spike_train, plan=plan)
             predictions = outcome.predictions
             spike_counts = outcome.spike_counts
             counters = outcome.counters
-            metadata["plan"] = {
-                "cache": "hit" if hit else "miss",
-                "build_s": 0.0 if hit else time.monotonic() - plan_started,
-            }
         else:
             predictions, spike_counts, counters = _BACKEND_RUNNERS[self.backend](
                 self.chip, spike_train

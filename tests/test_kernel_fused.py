@@ -1,34 +1,57 @@
 """The fused kernel against the per-tile reference loop.
 
 :meth:`VectorizedChipEngine.run_batch` runs layer-major over chunks of
-timesteps with one GEMM per crossbar row block;
-:meth:`VectorizedChipEngine.run_batch_reference` keeps the
+timesteps: a hidden layer is one GEMM over its whole crossbar grid, the
+output layer one GEMM per crossbar row block accumulated in placement
+order; :meth:`VectorizedChipEngine.run_batch_reference` keeps the
 ``timesteps × layers × tiles`` loop alive as the parity oracle.  The
 contract: predictions, spike counts and every integer event counter match
 exactly, and the crossbar energy within 1e-9 relative (the kernel sums it
-over (row, row block) rather than (row, tile)).  Drives may differ in the
-last bits — a BLAS product can round a row differently at another GEMM
-height, and chunking multiplies ``chunk × batch`` rows where the reference
-multiplies ``batch`` — which the exact checks would expose if it ever moved
-a spike.  The hypothesis suite drives the contract across ragged tile
-splits, single-tile layers, batch 1, batches above one chunk's rows, several
-chunks with a short last one, and both event-driven settings; the
-deterministic tests pin the plan and plan-cache mechanics and the grid
-layout the compiler accepts.
+over (row, row block) rather than (row, tile)).  Hidden-layer drives may
+differ in the last bits — the single GEMM sums the row blocks in BLAS order,
+and a BLAS product can round a row differently at another GEMM height
+(chunking multiplies ``chunk × batch`` rows where the reference multiplies
+``batch``) — which the exact checks would expose if it ever moved a spike.
+The output layer keeps the structural summation order because its membrane
+breaks prediction ties; the IF replay and the chunk counts are exact.  The
+hypothesis suite drives the contract across ragged tile splits, single-tile
+layers, batch 1, batches above one chunk's rows, several chunks with a short
+last one, packet and word widths that split rows into several chunks, and
+both event-driven settings, and holds :class:`ChunkCountScratch` to the
+per-sample chunk count at any width; the deterministic tests pin the plan
+and plan-cache mechanics and the grid layout the compiler accepts.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ArchitectureConfig, ChipSimulator
-from repro.fastpath import KernelPlan, PlanCache, VectorizedChipEngine, compile_chip
+from repro.fastpath import (
+    ChunkCountScratch,
+    KernelPlan,
+    PlanCache,
+    VectorizedChipEngine,
+    compile_chip,
+)
+from repro.fastpath.engine import _nonzero_chunk_counts
 from repro.snn import Dense, Network, convert_to_snn
 
 
-def _engine(dims, *, crossbar, event_driven, seed=0, mcas_per_mpe=2):
+def _engine(
+    dims,
+    *,
+    crossbar,
+    event_driven,
+    seed=0,
+    mcas_per_mpe=2,
+    packet_bits=32,
+    word_bits=64,
+):
     """A compiled engine for an MLP with the given layer widths."""
     rng = np.random.default_rng(seed)
     layers = []
@@ -51,6 +74,8 @@ def _engine(dims, *, crossbar, event_driven, seed=0, mcas_per_mpe=2):
         crossbar_columns=crossbar,
         event_driven=event_driven,
         mcas_per_mpe=mcas_per_mpe,
+        packet_bits=packet_bits,
+        word_bits=word_bits,
     )
     chip = ChipSimulator(config=config).build_chip(snn)
     return VectorizedChipEngine.from_chip(chip)
@@ -79,13 +104,21 @@ class TestFusedKernelProperties:
         batch=st.sampled_from([1, 3, 65]),
         timesteps=st.integers(min_value=1, max_value=30),
         seed=st.integers(min_value=0, max_value=2**16),
+        packet_bits=st.sampled_from([4, 13, 32]),
+        word_bits=st.sampled_from([8, 64]),
     )
     def test_fused_matches_reference(
-        self, dims, crossbar, event_driven, batch, timesteps, seed
+        self, dims, crossbar, event_driven, batch, timesteps, seed, packet_bits, word_bits
     ):
-        """Randomized geometries: ragged splits, tiny layers, batch 1."""
+        """Randomized geometries: ragged splits, tiny layers, batch 1, and
+        packets and words that split a row into several chunks."""
         engine = _engine(
-            tuple(dims), crossbar=crossbar, event_driven=event_driven, seed=seed
+            tuple(dims),
+            crossbar=crossbar,
+            event_driven=event_driven,
+            seed=seed,
+            packet_bits=packet_bits,
+            word_bits=word_bits,
         )
         rng = np.random.default_rng(seed + 1)
         train = (rng.random((timesteps, batch, dims[0])) > 0.5).astype(float)
@@ -107,6 +140,30 @@ class TestFusedKernelProperties:
         _assert_bit_identical(
             engine.run_batch_reference(train), engine.run_batch(train)
         )
+
+
+class TestChunkCountScratch:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=200),
+        chunk_bits=st.integers(min_value=1, max_value=80),
+        capacity=st.integers(min_value=1, max_value=12),
+        data=st.data(),
+    )
+    def test_count_total_matches_reference(self, n, chunk_bits, capacity, data):
+        """One scratch, reused across calls with different row counts and
+        bool or fractional values, counts what the per-sample loop counts."""
+        scratch = ChunkCountScratch(capacity, n, chunk_bits)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="calls")):
+            rows = data.draw(st.integers(min_value=1, max_value=capacity), label="rows")
+            density = data.draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]), label="density")
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+            values = rng.random((rows, n)) - 0.25
+            values[rng.random((rows, n)) >= density] = 0.0
+            if data.draw(st.booleans(), label="bool"):
+                values = values > 0
+            expected = int(_nonzero_chunk_counts(values, chunk_bits).sum())
+            assert scratch.count_total(values) == expected
 
 
 class TestFusedKernelDeterministic:
@@ -160,6 +217,34 @@ class TestFusedKernelDeterministic:
         chip = ChipSimulator(config=config).build_chip(snn)
         chip.tiles.reverse()
         with pytest.raises(ValueError, match="grid block"):
+            compile_chip(chip)
+
+    def test_one_scale_per_layer(self):
+        """A hidden layer's single GEMM is scaled once, so a row block
+        programmed with its own scale does not compile."""
+        config = ArchitectureConfig(crossbar_rows=8, crossbar_columns=8)
+        rng = np.random.default_rng(10)
+        network = Network(
+            (20,),
+            [
+                Dense(20, 12, use_bias=False, rng=rng, name="fc0"),
+                Dense(12, 5, activation=None, use_bias=False, rng=rng, name="out"),
+            ],
+            name="scale-mlp",
+        )
+        snn = convert_to_snn(network, rng.random((4, 20)))
+        chip = ChipSimulator(config=config).build_chip(snn)
+        weights = snn.network.layers[0].weights
+        for tile in chip.tiles_for_layer(0):
+            a = tile.assignment
+            if a.row_start == 8:  # every tile of row block 1
+                mpe = chip.neurocells[tile.neurocell_index].mpes[tile.mpe_index]
+                mca = mpe.mcas[tile.mca_index]
+                mca.program(
+                    weights[a.row_start : a.row_stop, a.column_start : a.column_stop],
+                    scale=2.0 * mca.programmed.scale,
+                )
+        with pytest.raises(ValueError, match="layer 0"):
             compile_chip(chip)
 
     def test_plan_reuse_resets_state(self):
@@ -275,6 +360,40 @@ class TestSessionPlanCache:
         # Caching must not change the served result.
         np.testing.assert_array_equal(first.predictions, second.predictions)
         np.testing.assert_array_equal(first.spike_counts, second.spike_counts)
+
+    def test_plan_build_time_excludes_the_kernel_run(self, monkeypatch):
+        """A miss reports the plan build, not the kernel run after it."""
+        import repro.serve.session as session_module
+        from repro.serve import ChipSession, InferenceRequest
+        from repro.serve.metrics import MetricsRegistry
+
+        now = [0.0]
+        monkeypatch.setattr(
+            session_module, "time", SimpleNamespace(monotonic=lambda: now[0])
+        )
+        run_batch = VectorizedChipEngine.run_batch
+
+        def kernel_taking_100_s(engine, spike_train, plan=None):
+            now[0] += 100.0
+            return run_batch(engine, spike_train, plan=plan)
+
+        monkeypatch.setattr(VectorizedChipEngine, "run_batch", kernel_taking_100_s)
+        rng = np.random.default_rng(13)
+        network = Network(
+            (16,),
+            [Dense(16, 5, activation=None, use_bias=False, rng=rng, name="out")],
+            name="clock-mlp",
+        )
+        session = ChipSession(
+            convert_to_snn(network, rng.random((6, 16))),
+            config=ArchitectureConfig(crossbar_rows=8, crossbar_columns=8),
+            timesteps=4,
+            seed=0,
+            registry=MetricsRegistry(),
+        )
+        response = session.infer(InferenceRequest(inputs=rng.random((3, 16))))
+        assert response.metadata["plan"] == {"cache": "miss", "build_s": 0.0}
+        assert now[0] == 100.0
 
     def test_structural_session_has_no_plan_cache(self):
         rng = np.random.default_rng(12)
