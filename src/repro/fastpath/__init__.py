@@ -7,10 +7,12 @@ package compiles a programmed chip into dense arrays
 chip's crossbar grid of row blocks × column blocks
 (:class:`~repro.fastpath.compiler.FusedLayer`), and replays whole batches
 through NumPy (:class:`~repro.fastpath.engine.VectorizedChipEngine`):
-layer-major over chunks of timesteps, one GEMM per hidden layer and one per
-crossbar row block of the output layer.  Work buffers live in reusable
-:class:`~repro.fastpath.plan.KernelPlan` scratch, cached per execution shape
-by :class:`~repro.fastpath.plan.PlanCache`.
+layer-major over chunks of timesteps, one GEMM per hidden layer on its
+unpadded operands and one per crossbar row block of the output layer.  Work
+buffers live in the engine's one :class:`~repro.fastpath.plan.KernelArena`,
+shared by every execution shape; a :class:`~repro.fastpath.plan.KernelPlan`
+keeps one shape's membranes and spike counts, cached per execution shape by
+:class:`~repro.fastpath.plan.PlanCache`.
 
 Predictions, spike counts and every :class:`~repro.core.stats.EventCounters`
 integer equal the structural execution's; energy totals agree within 1e-9

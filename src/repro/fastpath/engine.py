@@ -7,10 +7,12 @@ layer evaluates a whole chunk before the next layer runs — valid because
 layer ``l`` at step ``t`` depends only on layer ``l - 1`` at step ``t`` and
 on its own membrane at ``t - 1``:
 
-* a hidden layer is one GEMM of the zero-padded layer input with its whole
-  grid (:attr:`~repro.fastpath.compiler.FusedLayer.matrix`), whose product
-  is scaled and divided by the current LSB in two separate elementwise
-  passes — the layer's tiles share one scale;
+* a hidden layer is one GEMM of its input with its grid
+  (:attr:`~repro.fastpath.compiler.FusedLayer.matrix`), cut to the layer's
+  own ``n_in`` rows and ``n_out`` columns: the padding rows would multiply
+  zero inputs and the padding columns feed no neuron.  The product is
+  scaled and divided by the current LSB in two separate elementwise passes
+  (the layer's tiles share one scale);
 * the output layer runs one GEMM per crossbar row block
   (:attr:`~repro.fastpath.compiler.FusedLayer.row_blocks`) on a column slice
   of its input, scales each partial sum the same way and adds it onto the
@@ -26,22 +28,27 @@ on its own membrane at ``t - 1``:
   suppressed packets are linear in the per-step live counts, so per-chunk
   totals give the same integers.
 
-All work buffers live in a :class:`~repro.fastpath.plan.KernelPlan`, shared
-by the layers and written with ``out=``/in-place operations; callers that
-repeat an execution shape pass a cached plan
-(:class:`~repro.fastpath.plan.PlanCache`).
+The work buffers live in the engine's one
+:class:`~repro.fastpath.plan.KernelArena`, shared by the layers and by every
+execution shape, and are written with ``out=``/in-place operations; the
+arena grows when a chunk needs more rows than it has.  A
+:class:`~repro.fastpath.plan.KernelPlan` holds only a shape's membranes and
+spike counts; callers that repeat an execution shape pass a cached plan
+(:class:`~repro.fastpath.plan.PlanCache`).  Runs on one engine are
+serialized by its lock.
 
 What is exact, and why.  Predictions, spike counts and every integer event
 counter equal the structural chip's and the per-tile reference loop's;
 crossbar energy agrees within 1e-9 relative (the kernel sums it over
 (row, row block) instead of (row, tile)).  Hidden-layer drives can differ
 from the reference in the last bits: the single GEMM sums the row blocks in
-BLAS order rather than placement order, and a BLAS product may round a row
-differently depending on the GEMM height — chunking makes the height
-``chunk × batch`` where the reference multiplies ``batch`` rows (at batch 1
-NumPy even hands the reference's one-row product to a matrix-vector
-routine).  Pool sharding and server coalescing vary the height the same
-way.  Those drives reach the outputs only through ``membrane >= threshold``.
+BLAS order rather than placement order, over ``n_in`` rather than the
+padded rows, and a BLAS product may round a row differently depending on
+the GEMM height — chunking makes the height ``chunk × batch`` where the
+reference multiplies ``batch`` rows (at batch 1 NumPy even hands the
+reference's one-row product to a matrix-vector routine).  Pool sharding
+and server coalescing vary the height the same way.  Those drives reach
+the outputs only through ``membrane >= threshold``.
 The output layer keeps the structural summation order, because its
 membrane breaks ties in ``argmax(spike_counts + 1e-3 · membrane)``.  The IF
 replay is exact (``m - 0.0 == m`` for the neurons that did not fire), and
@@ -53,13 +60,14 @@ the property suite checks the kernel against.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.stats import EventCounters
 from repro.fastpath.compiler import CompiledChip, CompiledLayer, compile_chip
-from repro.fastpath.plan import KernelPlan, head
+from repro.fastpath.plan import KernelArena, KernelPlan, head
 from repro.snn.neuron import IFNeuronParameters, IFNeuronPool
 
 __all__ = ["BatchRunOutcome", "VectorizedChipEngine"]
@@ -95,6 +103,12 @@ class VectorizedChipEngine:
 
     def __init__(self, program: CompiledChip):
         self.program = program
+        #: Scratch shared by every plan this engine runs, sized by the
+        #: tallest chunk so far; allocated by the first run.
+        self.arena: KernelArena | None = None
+        # The arena, and the state of the plan a run resets, are shared
+        # between callers: one run at a time.
+        self._lock = threading.Lock()
 
     @classmethod
     def from_chip(cls, chip) -> "VectorizedChipEngine":
@@ -122,21 +136,32 @@ class VectorizedChipEngine:
     ) -> BatchRunOutcome:
         """Run an encoded spike train of shape ``(timesteps, batch, n_in)``.
 
-        ``plan`` supplies the preallocated scratch for this execution shape;
-        omitted, a fresh one is built (and discarded).  Returns per-sample
-        output spike counts and predictions plus the aggregate
-        :class:`EventCounters` of the run (the same totals the structural
-        chip's components would have accumulated).
+        ``plan`` carries the run state of this execution shape; omitted, a
+        fresh one is built (and discarded).  The scratch comes from the
+        engine's :attr:`arena`, grown first if the plan's chunk needs more
+        rows.  Returns per-sample output spike counts and predictions plus
+        the aggregate :class:`EventCounters` of the run (the same totals the
+        structural chip's components would have accumulated).  Thread-safe:
+        runs on one engine are serialized.
         """
         program = self.program
         train = self._validate_train(spike_train)
-        timesteps, batch, n_in = train.shape
-
+        timesteps, batch = train.shape[:2]
         if plan is None:
             plan = KernelPlan(program, batch, timesteps)
-        else:
+        with self._lock:
             plan.check(program, batch, timesteps)
-        plan.reset()
+            plan.reset()
+            if self.arena is None or self.arena.rows < plan.rows:
+                self.arena = KernelArena(program, plan.rows)
+            return self._run_chunks(train, plan, self.arena)
+
+    def _run_chunks(
+        self, train: np.ndarray, plan: KernelPlan, arena: KernelArena
+    ) -> BatchRunOutcome:
+        """The layer-major chunk loop of :meth:`run_batch`, on a reset plan."""
+        program = self.program
+        timesteps, batch, n_in = train.shape
 
         voltage = program.read_voltage_v
         lsb = program.current_lsb_a
@@ -155,17 +180,17 @@ class VectorizedChipEngine:
             rows = steps * batch
             chunk_in = train[start : start + steps].reshape(rows, n_in)
             if event_driven:
-                io_bus_words += plan.input_word_scratch.count_total(chunk_in)
-                live = plan.input_packet_scratch.count_total(chunk_in)
-            np.multiply(chunk_in, voltage, out=plan.layer_input(0, rows)[:, :n_in])
+                io_bus_words += arena.input_word_scratch.count_total(chunk_in)
+                live = arena.input_packet_scratch.count_total(chunk_in)
+            np.multiply(chunk_in, voltage, out=arena.layer_input(0, rows)[:, :n_in])
             for index, layer in enumerate(layers):
                 fused = layer.fused
-                state = plan.layers[index]
                 blocks = fused.row_blocks
                 n_blocks, g_rows, width = blocks.shape
-                x = plan.layer_input(index, rows)
+                x = arena.layer_input(index, rows)
                 # The last row block's padding: zero, though a wider layer
-                # sharing this buffer may have written there.
+                # sharing this buffer may have written there.  The active-row
+                # counts and the output layer's row-block slices read it.
                 x[:, layer.n_in :].fill(0.0)
                 if event_driven:
                     delivered = live * layer.destinations
@@ -175,25 +200,32 @@ class VectorizedChipEngine:
                     )
                 # Read energy: active rows per (row, row block), priced by
                 # the row block's cost table.
-                nonzero = head(plan.nonzero, rows, n_blocks * g_rows)
+                nonzero = head(arena.nonzero, rows, n_blocks * g_rows)
                 np.not_equal(x, 0.0, out=nonzero)
-                active = head(plan.active, rows, n_blocks)
+                active = head(arena.active, rows, n_blocks)
                 nonzero.reshape(rows, n_blocks, g_rows).sum(axis=2, out=active)
                 crossbar_energy += float(
                     np.take_along_axis(fused.read_cost, active.T, axis=1).sum()
                 )
                 # Currents back to weighted sums: * scale, then / lsb, in two
                 # passes as CrossbarArray.evaluate rounds them.
-                drive = head(plan.drive, rows, width)
                 if index < last_index:
-                    # A hidden layer is one GEMM over its whole grid.
-                    np.matmul(x, fused.matrix, out=drive)
+                    # A hidden layer is one GEMM over its grid, cut to the
+                    # layer's rows and columns: the padding rows multiply
+                    # zero inputs and the padding columns feed no neuron.
+                    drive = head(arena.drive, rows, layer.n_out)
+                    np.matmul(
+                        x[:, : layer.n_in],
+                        fused.matrix[: layer.n_in, : layer.n_out],
+                        out=drive,
+                    )
                     np.multiply(drive, fused.scale, out=drive)
                     np.divide(drive, lsb, out=drive)
                 else:
                     # The output layer's membrane breaks prediction ties, so
                     # its row blocks accumulate in placement order.
-                    partial = head(plan.partial, rows, width)
+                    drive = head(arena.drive, rows, width)
+                    partial = head(arena.partial, rows, width)
                     drive.fill(0.0)
                     for r in range(n_blocks):
                         np.matmul(x[:, r * g_rows : (r + 1) * g_rows], blocks[r], out=partial)
@@ -203,9 +235,9 @@ class VectorizedChipEngine:
                 # The IF update, one timestep of the chunk at a time.  The
                 # reset subtracts fired * threshold from every neuron, which
                 # leaves the unfired ones exact (m - 0.0 == m).
-                membrane = state.membrane
-                spikes = head(plan.spikes, rows, layer.n_out)
-                reset = head(plan.partial, batch, layer.n_out)
+                membrane = plan.layers[index].membrane
+                spikes = head(arena.spikes, rows, layer.n_out)
+                reset = head(arena.partial, batch, layer.n_out)
                 for step in range(0, rows, batch):
                     fired = spikes[step : step + batch]
                     np.add(membrane, drive[step : step + batch, : layer.n_out], out=membrane)
@@ -213,12 +245,12 @@ class VectorizedChipEngine:
                     np.multiply(fired, layer.threshold, out=reset)
                     np.subtract(membrane, reset, out=membrane)
                 if event_driven and layer.needs_bus_transfer:
-                    io_bus_words += state.word_scratch.count_total(spikes)
+                    io_bus_words += arena.word_scratch[index].count_total(spikes)
                 if index < last_index:
                     if event_driven:
-                        live = state.packet_scratch.count_total(spikes)
+                        live = arena.packet_scratch[index].count_total(spikes)
                     np.multiply(
-                        spikes, voltage, out=plan.layer_input(index + 1, rows)[:, : layer.n_out]
+                        spikes, voltage, out=arena.layer_input(index + 1, rows)[:, : layer.n_out]
                     )
                 else:
                     plan.spike_counts += spikes.reshape(steps, batch, -1).sum(axis=0)

@@ -1,30 +1,39 @@
-"""Scratch buffers and the per-session plan cache for the fused kernel.
+"""Kernel scratch, per-shape run state and the plan cache of the fused kernel.
 
-A :class:`KernelPlan` owns every work buffer one ``(program, batch,
-timesteps)`` execution shape needs.  The engine runs layer-major over
-*chunks* of consecutive timesteps (see :mod:`repro.fastpath.engine`), so
-the buffers are sized by the rows of one chunk — ``chunk × batch``, about
-:data:`CHUNK_ROWS` — rather than by the whole spike train, and one scratch
-set serves every layer in turn: two ping-pong zero-padded layer inputs, one
-drive, one partial sum (the output layer's row-block products, and the
-``fired × threshold`` reset of the IF replay), the nonzero mask, the
-active-row counts and the chunk's spikes.  Per layer only the membrane,
-carried from chunk to chunk, and the event-driven chunk-count scratch of its
-output remain.  The engine writes the buffers with ``out=``/in-place
-operations, so steady-state chunks perform no O(rows × width) heap
-allocations: the first run on a shape pays the allocation cost once and
-every later run reuses the plan.
+The engine runs layer-major over *chunks* of consecutive timesteps (see
+:mod:`repro.fastpath.engine`), so its buffers are sized by the rows of one
+chunk — ``chunk × batch``, about :data:`CHUNK_ROWS` — rather than by the
+whole spike train.  They split by what they depend on:
+
+* a :class:`KernelArena` holds the scratch, which every chunk writes before
+  it reads: two ping-pong zero-padded layer inputs, one drive, one partial
+  sum (the output layer's row-block products, and the ``fired × threshold``
+  reset of the IF replay), the nonzero mask, the active-row counts, the
+  chunk's spikes, and the event-driven chunk-count scratch of the input
+  train and of each layer's output.  One scratch set serves every layer in
+  turn, and every execution shape: each
+  :class:`~repro.fastpath.engine.VectorizedChipEngine` owns one arena, sized
+  by the tallest chunk it has run, which grows when a plan needs more rows
+  and never shrinks;
+* a :class:`KernelPlan` keeps the run state of one ``(program, batch,
+  timesteps)`` shape: its chunk, the membrane each layer carries from chunk
+  to chunk and the output spike counts.
+
+The engine writes the buffers with ``out=``/in-place operations, so
+steady-state chunks perform no O(rows × width) heap allocations.
 
 :class:`PlanCache` is a small keyed LRU over plans — ``(program, batch,
 timesteps)`` — that :class:`~repro.serve.ChipSession` consults per request.
 Under the server's dynamic batcher most requests repeat a handful of
-shapes, so the common case is a cache hit that skips compile-and-allocate
-entirely; hit/miss counts are exported so the reuse rate is observable.
+shapes, so the common case is a cache hit; hit/miss counts are exported so
+the reuse rate is observable.  Since the scratch lives in the engine's
+arena, a cached plan costs only its membranes and spike counts.
 
-A plan's buffers are mutable run state: one plan must not execute two
-batches concurrently.  Sessions are driven serially (the pool gives every
-worker its own session), so the per-session cache never shares a plan
-across threads.
+The arena and a plan's state are mutable: the engine runs one batch at a
+time under its lock, and a plan must be run by one engine only.  Sessions
+are driven serially (the pool gives every worker its own session, so its
+own engine and arena), and the per-session cache never shares a plan
+across engines.
 """
 
 from __future__ import annotations
@@ -34,16 +43,19 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.fastpath.compiler import CompiledChip, CompiledLayer
+from repro.fastpath.compiler import CompiledChip
 
-__all__ = ["CHUNK_ROWS", "ChunkCountScratch", "KernelPlan", "PlanCache"]
+__all__ = ["CHUNK_ROWS", "ChunkCountScratch", "KernelArena", "KernelPlan", "PlanCache"]
 
 
 #: Rows (timesteps × batch) a chunk of the layer-major kernel aims for.  A
 #: chunk is ``max(1, min(timesteps, CHUNK_ROWS // batch))`` timesteps, so
 #: small batches share each pass over the conductances across timesteps.
-#: 128 rows measured at most 7% faster than 64, for twice the scratch.
-CHUNK_ROWS = 64
+#: Kernel only, on one BLAS thread, the mixed benchmark workload's 21
+#: cifar10-mlp shapes took 2.29–2.77 s summed at 64 rows, 2.16–2.32 s at
+#: 128, 2.06–2.13 s at 256 and 2.01–2.04 s at 512: past 256 the gain is a
+#: few percent, while the engine's arena grows with the chunk.
+CHUNK_ROWS = 256
 
 
 class ChunkCountScratch:
@@ -79,30 +91,6 @@ class ChunkCountScratch:
         return int(np.count_nonzero(reduced))
 
 
-class _LayerState:
-    """The run state one layer keeps between chunks.
-
-    The membrane carries the IF integration from chunk to chunk; the
-    chunk-count scratch counts the layer's *output* spikes: word chunks
-    when the output crosses the bus, packet chunks when a next layer
-    consumes it as routed input.
-    """
-
-    def __init__(
-        self, program: CompiledChip, layer: CompiledLayer, batch: int, rows: int, last: bool
-    ):
-        self.membrane = np.zeros((batch, layer.n_out))
-        self.word_scratch: ChunkCountScratch | None = None
-        self.packet_scratch: ChunkCountScratch | None = None
-        if program.event_driven:
-            if layer.needs_bus_transfer:
-                self.word_scratch = ChunkCountScratch(rows, layer.n_out, program.word_bits)
-            if not last:
-                self.packet_scratch = ChunkCountScratch(
-                    rows, layer.n_out, program.packet_bits
-                )
-
-
 def head(flat: np.ndarray, rows: int, width: int) -> np.ndarray:
     """The leading ``rows × width`` elements of a flat buffer, as a matrix.
 
@@ -113,24 +101,17 @@ def head(flat: np.ndarray, rows: int, width: int) -> np.ndarray:
     return flat[: rows * width].reshape(rows, width)
 
 
-class KernelPlan:
-    """Every work buffer of one ``(program, batch, timesteps)`` execution.
+class KernelArena:
+    """The scratch of one engine, for chunks of up to ``rows`` rows.
 
-    The shared scratch is flat; the engine views it per layer through
-    :func:`head` and :meth:`layer_input`.
+    The buffers are flat; the engine views them per layer through
+    :func:`head` and :meth:`layer_input`.  Each chunk writes a buffer before
+    reading it, so any plan whose :attr:`KernelPlan.rows` fit runs on the
+    arena, whatever shape ran before it.
     """
 
-    def __init__(self, program: CompiledChip, batch: int, timesteps: int):
-        if batch <= 0:
-            raise ValueError(f"batch must be positive, got {batch}")
-        if timesteps <= 0:
-            raise ValueError(f"timesteps must be positive, got {timesteps}")
-        self.program = program
-        self.batch = batch
-        self.timesteps = timesteps
-        #: Timesteps per chunk; a full chunk spans ``chunk * batch`` rows.
-        self.chunk = max(1, min(timesteps, CHUNK_ROWS // batch))
-        rows = self.chunk * batch
+    def __init__(self, program: CompiledChip, rows: int):
+        self.rows = rows
         grids = [layer.fused.row_blocks.shape for layer in program.layers]
         self._input_widths = [n_blocks * g_rows for n_blocks, g_rows, _ in grids]
         in_size = rows * max(self._input_widths)
@@ -144,19 +125,28 @@ class KernelPlan:
         self.partial = np.zeros(out_size)
         self.drive = np.zeros(out_size)
         self.spikes = np.zeros(rows * max_out, dtype=bool)
-        self.spike_counts = np.zeros((batch, program.output_dim))
-        #: Per-layer run state, aligned positionally with ``program.layers``.
-        self.layers = [
-            _LayerState(program, layer, batch, rows, last=index == len(program.layers) - 1)
-            for index, layer in enumerate(program.layers)
-        ]
-        # Event-driven bookkeeping of the input train, counted per chunk.
+        # Event-driven bookkeeping, counted per chunk: the input train, and
+        # each layer's *output* spikes — word chunks when the output crosses
+        # the bus, packet chunks when a next layer consumes it as routed
+        # input.  The lists align positionally with ``program.layers``.
         self.input_word_scratch: ChunkCountScratch | None = None
         self.input_packet_scratch: ChunkCountScratch | None = None
+        self.word_scratch: list[ChunkCountScratch | None] = [None] * len(program.layers)
+        self.packet_scratch: list[ChunkCountScratch | None] = [None] * len(program.layers)
         if program.event_driven:
             n_in = program.input_dim
             self.input_word_scratch = ChunkCountScratch(rows, n_in, program.word_bits)
             self.input_packet_scratch = ChunkCountScratch(rows, n_in, program.packet_bits)
+            last = len(program.layers) - 1
+            for index, layer in enumerate(program.layers):
+                if layer.needs_bus_transfer:
+                    self.word_scratch[index] = ChunkCountScratch(
+                        rows, layer.n_out, program.word_bits
+                    )
+                if index < last:
+                    self.packet_scratch[index] = ChunkCountScratch(
+                        rows, layer.n_out, program.packet_bits
+                    )
 
     def layer_input(self, index: int, rows: int) -> np.ndarray:
         """Layer ``index``'s zero-padded input, ``(rows, R·g_rows)``.
@@ -165,6 +155,35 @@ class KernelPlan:
         writes layer ``index + 1``'s input while reading its own.
         """
         return head(self.inputs[index % 2], rows, self._input_widths[index])
+
+
+class _LayerState:
+    """The membrane one layer carries from chunk to chunk."""
+
+    def __init__(self, batch: int, n_out: int):
+        self.membrane = np.zeros((batch, n_out))
+
+
+class KernelPlan:
+    """The run state of one ``(program, batch, timesteps)`` execution.
+
+    The scratch it runs on is the engine's :class:`KernelArena`.
+    """
+
+    def __init__(self, program: CompiledChip, batch: int, timesteps: int):
+        if batch <= 0:
+            raise ValueError(f"batch must be positive, got {batch}")
+        if timesteps <= 0:
+            raise ValueError(f"timesteps must be positive, got {timesteps}")
+        self.program = program
+        self.batch = batch
+        self.timesteps = timesteps
+        #: Timesteps per chunk; a full chunk spans :attr:`rows` rows.
+        self.chunk = max(1, min(timesteps, CHUNK_ROWS // batch))
+        self.rows = self.chunk * batch
+        self.spike_counts = np.zeros((batch, program.output_dim))
+        #: Per-layer run state, aligned positionally with ``program.layers``.
+        self.layers = [_LayerState(batch, layer.n_out) for layer in program.layers]
 
     def check(self, program: CompiledChip, batch: int, timesteps: int) -> None:
         """Raise when the plan was built for a different execution shape."""
@@ -178,8 +197,7 @@ class KernelPlan:
             )
 
     def reset(self) -> None:
-        """Zero the run state carried across chunks (the scratch buffers are
-        rewritten before every read)."""
+        """Zero the run state carried across chunks."""
         for state in self.layers:
             state.membrane.fill(0.0)
         self.spike_counts.fill(0.0)
@@ -189,8 +207,8 @@ class PlanCache:
     """A small LRU of :class:`KernelPlan`\\ s keyed by execution shape.
 
     The cache retains each plan's program, so an entry's identity key can
-    never be recycled while the entry lives.  ``get`` is thread-safe; the
-    plans it returns are not (see the module docstring).
+    never be recycled while the entry lives.  ``get`` is thread-safe; each
+    plan it returns must be run by one engine (see the module docstring).
     """
 
     def __init__(self, capacity: int = 8):

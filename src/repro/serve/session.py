@@ -205,8 +205,9 @@ class ChipSession:
         )
         # Eager, cached compilation plus the session's plan cache: the first
         # request should not pay the lowering cost, every vectorized run
-        # reuses the same program, and repeated request shapes — the common
-        # case under the dynamic batcher — reuse a ready scratch arena.
+        # reuses the same program and the engine's one scratch arena, and
+        # repeated request shapes — the common case under the dynamic
+        # batcher — reuse their plan's run state.
         self._engine = None
         self.plan_cache: PlanCache | None = None
         if backend == "vectorized":
@@ -285,7 +286,7 @@ class ChipSession:
         metadata: dict[str, object] = {}
         if self._engine is not None:
             # Vectorized fast path through the session's plan cache: a hit
-            # reuses the shape's scratch arena, a miss builds (and keeps) it.
+            # reuses the shape's plan, a miss builds (and keeps) it.
             plan_started = time.monotonic()
             plan, hit = self.plan_cache.get(
                 self._engine.program, spike_train.shape[1], spike_train.shape[0]

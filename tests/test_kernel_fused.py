@@ -1,9 +1,10 @@
 """The fused kernel against the per-tile reference loop.
 
 :meth:`VectorizedChipEngine.run_batch` runs layer-major over chunks of
-timesteps: a hidden layer is one GEMM over its whole crossbar grid, the
-output layer one GEMM per crossbar row block accumulated in placement
-order; :meth:`VectorizedChipEngine.run_batch_reference` keeps the
+timesteps: a hidden layer is one GEMM over its crossbar grid cut to the
+layer's own rows and columns, the output layer one GEMM per crossbar row
+block accumulated in placement order;
+:meth:`VectorizedChipEngine.run_batch_reference` keeps the
 ``timesteps × layers × tiles`` loop alive as the parity oracle.  The
 contract: predictions, spike counts and every integer event counter match
 exactly, and the crossbar energy within 1e-9 relative (the kernel sums it
@@ -18,12 +19,15 @@ hypothesis suite drives the contract across ragged tile splits, single-tile
 layers, batch 1, batches above one chunk's rows, several chunks with a short
 last one, packet and word widths that split rows into several chunks, and
 both event-driven settings, and holds :class:`ChunkCountScratch` to the
-per-sample chunk count at any width; the deterministic tests pin the plan
-and plan-cache mechanics and the grid layout the compiler accepts.
+per-sample chunk count at any width; the deterministic tests pin the plan,
+arena and plan-cache mechanics, the engine's one-run-at-a-time lock and the
+grid layout the compiler accepts.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,6 +43,7 @@ from repro.fastpath import (
     compile_chip,
 )
 from repro.fastpath.engine import _nonzero_chunk_counts
+from repro.fastpath.plan import CHUNK_ROWS
 from repro.snn import Dense, Network, convert_to_snn
 
 
@@ -101,7 +106,10 @@ class TestFusedKernelProperties:
         dims=st.lists(st.integers(min_value=3, max_value=40), min_size=2, max_size=4),
         crossbar=st.sampled_from([8, 16]),
         event_driven=st.booleans(),
-        batch=st.sampled_from([1, 3, 65]),
+        # Batch 1; chunks of about 7 timesteps, so T above 7 runs several
+        # chunks, the last one short unless 7 divides T; and one row above a
+        # chunk's rows (chunks of one timestep).
+        batch=st.sampled_from([1, CHUNK_ROWS // 7, CHUNK_ROWS + 1]),
         timesteps=st.integers(min_value=1, max_value=30),
         seed=st.integers(min_value=0, max_value=2**16),
         packet_bits=st.sampled_from([4, 13, 32]),
@@ -176,14 +184,16 @@ class TestFusedKernelDeterministic:
         )
 
     def test_short_last_chunk_and_plan_reuse(self):
-        """Batch 20 runs chunks of 3 timesteps, so T=7 ends on a chunk of 1;
-        a plan reused for a second train must match a fresh plan."""
+        """A batch of a third of a chunk's rows runs chunks of 3 timesteps,
+        so T=7 ends on a chunk of 1; a plan reused for a second train must
+        match a fresh plan."""
         engine = _engine((40, 24, 6), crossbar=8, event_driven=True)
-        plan = KernelPlan(engine.program, 20, 7)
+        batch = CHUNK_ROWS // 3
+        plan = KernelPlan(engine.program, batch, 7)
         assert plan.chunk == 3
         rng = np.random.default_rng(5)
-        train_a = (rng.random((7, 20, 40)) > 0.6).astype(float)
-        train_b = (rng.random((7, 20, 40)) > 0.3).astype(float)
+        train_a = (rng.random((7, batch, 40)) > 0.6).astype(float)
+        train_b = (rng.random((7, batch, 40)) > 0.3).astype(float)
         _assert_bit_identical(
             engine.run_batch_reference(train_a), engine.run_batch(train_a, plan=plan)
         )
@@ -270,6 +280,69 @@ class TestFusedKernelDeterministic:
         saved = outcome_a.spike_counts.copy()
         engine.run_batch(train_b, plan=plan)
         np.testing.assert_array_equal(outcome_a.spike_counts, saved)
+
+    def test_arena_reuse_across_shapes(self):
+        """One engine runs plans of alternating shapes on its one arena —
+        grown by a batch above a chunk's rows, then reused by smaller
+        shapes — and every outcome equals a fresh engine's exactly: no
+        padding, spikes or membranes leak from one shape into the next."""
+        for event_driven in (True, False):
+            # Ragged widths, so the layers that share an input buffer pad it
+            # differently.
+            engine = _engine((37, 45, 21, 6), crossbar=8, event_driven=event_driven)
+            rng = np.random.default_rng(6)
+            shapes = [(5, 4), (CHUNK_ROWS + 3, 3), (2, 9), (5, 4), (40, 7), (CHUNK_ROWS + 3, 3)]
+            plans = {}
+            for batch, timesteps in shapes:
+                train = (rng.random((timesteps, batch, 37)) > 0.5).astype(float)
+                plan = plans.setdefault(
+                    (batch, timesteps), KernelPlan(engine.program, batch, timesteps)
+                )
+                shared = engine.run_batch(train, plan=plan)
+                fresh = VectorizedChipEngine(engine.program).run_batch(train)
+                np.testing.assert_array_equal(shared.predictions, fresh.predictions)
+                np.testing.assert_array_equal(shared.spike_counts, fresh.spike_counts)
+                assert shared.counters.as_dict() == fresh.counters.as_dict()
+                assert engine.arena.rows == max(p.rows for p in plans.values())
+            assert engine.arena.rows == CHUNK_ROWS + 3
+
+    def test_concurrent_runs_on_one_engine(self):
+        """Threads sharing one engine, each with its own plan, get their
+        serial results: the engine serializes runs on its one arena.  One
+        thread's batch grows the arena while the others run."""
+        engine = _engine((30, 20, 6), crossbar=8, event_driven=True)
+        rng = np.random.default_rng(8)
+        shapes = [(3, 5), (CHUNK_ROWS + 1, 2), (20, 9), (1, 12)]
+        trains = [
+            (rng.random((timesteps, batch, 30)) > 0.5).astype(float)
+            for batch, timesteps in shapes
+        ]
+        serial = [VectorizedChipEngine(engine.program).run_batch(t) for t in trains]
+        results: list[list] = [[] for _ in shapes]
+
+        def worker(index):
+            batch, timesteps = shapes[index]
+            plan = KernelPlan(engine.program, batch, timesteps)
+            for _ in range(6):
+                results[index].append(engine.run_batch(trains[index], plan=plan))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(shapes))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        for expected, outcomes in zip(serial, results):
+            assert len(outcomes) == 6
+            for outcome in outcomes:
+                np.testing.assert_array_equal(outcome.predictions, expected.predictions)
+                np.testing.assert_array_equal(outcome.spike_counts, expected.spike_counts)
+                assert outcome.counters.as_dict() == expected.counters.as_dict()
 
     def test_plan_shape_mismatch_raises(self):
         engine = _engine((12, 6), crossbar=8, event_driven=True)
@@ -360,6 +433,50 @@ class TestSessionPlanCache:
         # Caching must not change the served result.
         np.testing.assert_array_equal(first.predictions, second.predictions)
         np.testing.assert_array_equal(first.spike_counts, second.spike_counts)
+
+    def test_plans_hold_run_state_and_the_session_one_arena(self):
+        """After a session serves several shapes, its cached plans own only
+        batch-sized run state (spike counts and membranes), and its engine
+        holds one arena, sized by the tallest chunk."""
+        from repro.serve import ChipSession, InferenceRequest
+        from repro.serve.metrics import MetricsRegistry
+
+        rng = np.random.default_rng(14)
+        network = Network(
+            (20,),
+            [
+                Dense(20, 12, use_bias=False, rng=rng, name="fc0"),
+                Dense(12, 5, activation=None, use_bias=False, rng=rng, name="out"),
+            ],
+            name="arena-mlp",
+        )
+        session = ChipSession(
+            convert_to_snn(network, rng.random((6, 20))),
+            config=ArchitectureConfig(crossbar_rows=8, crossbar_columns=8),
+            timesteps=4,
+            seed=0,
+            registry=MetricsRegistry(),
+        )
+        shapes = [(3, 4), (40, 8), (CHUNK_ROWS + 44, 2), (7, 16)]
+        for batch, timesteps in shapes:
+            session.infer(InferenceRequest(inputs=rng.random((batch, 20)), timesteps=timesteps))
+        program = session._engine.program
+        plans = []
+        for batch, timesteps in shapes:
+            plan, hit = session.plan_cache.get(program, batch, timesteps)
+            assert hit
+            plans.append(plan)
+            buffers = [
+                value
+                for owner in (plan, *plan.layers)
+                for value in vars(owner).values()
+                if isinstance(value, (np.ndarray, ChunkCountScratch))
+            ]
+            assert len(buffers) == 1 + len(program.layers)
+            for buffer in buffers:
+                assert isinstance(buffer, np.ndarray) and buffer.shape[0] == batch
+        arena = session._engine.arena
+        assert arena.rows == max(plan.rows for plan in plans) == CHUNK_ROWS + 44
 
     def test_plan_build_time_excludes_the_kernel_run(self, monkeypatch):
         """A miss reports the plan build, not the kernel run after it."""
