@@ -4,9 +4,8 @@ Builds one MLP and then serves it at every rung of the distribution ladder,
 verifying at each rung that the answer never changes:
 
 1. a single :class:`repro.serve.ChipSession` (the reference),
-2. a :class:`repro.serve.ChipPool` on the ``process`` executor — one
-   programmed chip per worker process, shard arrays shipped through shared
-   memory,
+2. a :class:`repro.serve.ChipPool` on the ``thread`` executor — the batch
+   split into two shards that run on two worker threads,
 3. a socket :class:`~repro.serve.distributed.ChipServer` on localhost with a
    :class:`~repro.serve.distributed.PipelinedSession` client — the same
    request and response as protocol-3 binary frames over TCP,
@@ -76,17 +75,17 @@ def main() -> None:
         f"energy {format_energy(reference.energy.total_j)}"
     )
 
-    # 2 -- process executor: one chip per worker process ---------------------------
+    # 2 -- thread executor: two shards on two worker threads -----------------------
     with ChipPool(
         snn, jobs=2, config=config, timesteps=16, encoder="poisson", seed=7,
-        executor="process",
+        executor="thread",
     ) as pool:
         start = time.perf_counter()
-        processed = pool.infer(request)
+        sharded = pool.infer(request)
         elapsed = time.perf_counter() - start
     print(
-        f"process    : {processed.jobs} worker processes in {elapsed:.3f}s, "
-        f"identical: {_identical(reference, processed)}"
+        f"pool       : {sharded.jobs} worker threads in {elapsed:.3f}s, "
+        f"identical: {_identical(reference, sharded)}"
     )
 
     # 3 -- chip server on localhost + remote client --------------------------------

@@ -69,10 +69,6 @@ class ExperimentSettings:
     #: Worker sessions for chip runs: 1 runs a single legacy-seeded session,
     #: > 1 shards each batch across a :class:`repro.serve.ChipPool`.
     chip_jobs: int = 1
-    #: Shard executor for pooled chip runs ("inline", "thread" or "process";
-    #: see :mod:`repro.serve.distributed.executors`).  Only meaningful with
-    #: ``chip_jobs > 1``.
-    chip_executor: str = "thread"
     #: Optional running chip server(s): one ``host:port`` or a
     #: comma-separated list of them.  When set, chip runs are sent to those
     #: servers instead of executing locally — several endpoints fan each
@@ -88,7 +84,7 @@ class ExperimentSettings:
     chip_deadline_s: float | None = None
 
     def __post_init__(self) -> None:
-        from repro.serve.distributed import EXECUTORS, split_endpoints
+        from repro.serve.distributed import split_endpoints
 
         if self.chip_backend not in CHIP_BACKENDS:
             raise ValueError(
@@ -96,11 +92,6 @@ class ExperimentSettings:
             )
         if self.chip_jobs < 1:
             raise ValueError(f"chip_jobs must be >= 1, got {self.chip_jobs}")
-        if self.chip_executor not in EXECUTORS:
-            raise ValueError(
-                f"chip_executor must be one of {sorted(EXECUTORS)}, "
-                f"got {self.chip_executor!r}"
-            )
         if self.chip_deadline_s is not None and self.chip_deadline_s <= 0:
             raise ValueError(
                 f"chip_deadline_s must be > 0 seconds, got {self.chip_deadline_s}"
@@ -274,27 +265,25 @@ class WorkloadContext:
         backend: str | None = None,
         samples: int | None = None,
         jobs: int | None = None,
-        executor: str | None = None,
         endpoint: str | None = None,
     ) -> ChipRunResult:
         """Run a workload through the serve-layer chip sessions.
 
         This is the experiment-level entry to the cycle-exact chip model: it
         executes the converted SNN through a :class:`repro.serve.ChipSession`
-        (or, with ``jobs > 1``, shards the batch across a
-        :class:`repro.serve.ChipPool` using ``executor`` — inline, thread or
-        process workers) and returns measured counters/energy, which
-        cross-validates the analytical activity-based evaluation.  Only MLP
-        workloads are executable on the structural chip.
+        (or, with ``jobs > 1``, shards the batch across the worker threads
+        of a :class:`repro.serve.ChipPool`) and returns measured
+        counters/energy, which cross-validates the analytical activity-based
+        evaluation.  Only MLP workloads are executable on the structural
+        chip.
 
         ``backend`` defaults to ``settings.chip_backend``, ``jobs`` to
-        ``settings.chip_jobs``, ``executor`` to ``settings.chip_executor``
-        and ``endpoint`` to ``settings.chip_endpoint``.  The single-session
-        path encodes from the legacy derived-RNG stream (bit-identical to
-        earlier releases); the pool path uses the shard-stable
-        :class:`repro.snn.EncoderState` seeding, whose Poisson draws differ
-        from the legacy stream but are identical for every ``jobs`` count
-        and every executor.
+        ``settings.chip_jobs`` and ``endpoint`` to ``settings.chip_endpoint``.
+        The single-session path encodes from the legacy derived-RNG stream
+        (bit-identical to earlier releases); the pool path uses the
+        shard-stable :class:`repro.snn.EncoderState` seeding, whose Poisson
+        draws differ from the legacy stream but are identical for every
+        ``jobs`` count.
 
         With an ``endpoint`` (one ``"host:port"`` or a comma-separated list),
         the request is routed through pipelined remote sessions and the
@@ -331,7 +320,6 @@ class WorkloadContext:
                 encoder="poisson",
                 backend=backend or s.chip_backend,
                 seed=stable_seed(s.seed, "chip", workload.name),
-                executor=executor or s.chip_executor,
             ) as pool:
                 return pool.infer(request).as_run_result()
         session = ChipSession(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from repro.experiments.common import ExperimentSettings, WorkloadContext
 from repro.experiments.fig11_comparison import Fig11Result, run_fig11
-from repro.serve.distributed import EXECUTORS, split_endpoints
+from repro.serve.distributed import split_endpoints
 from repro.experiments.fig12_breakdown import Fig12Result, run_fig12
 from repro.experiments.fig13_eventdriven import Fig13Result, run_fig13
 from repro.experiments.fig14_precision import Fig14Result, run_fig14
@@ -104,14 +104,6 @@ def main(argv: list[str] | None = None) -> int:
         "repro.serve.ChipPool (implies --validate-chip)",
     )
     parser.add_argument(
-        "--executor",
-        choices=sorted(EXECUTORS),
-        default=None,
-        help="shard executor for pooled chip runs: inline (sequential), "
-        "thread (default) or process (one chip per worker process); "
-        "needs --jobs >= 2 (implies --validate-chip)",
-    )
-    parser.add_argument(
         "--endpoint",
         default=None,
         metavar="HOST:PORT[,HOST:PORT...]",
@@ -139,8 +131,6 @@ def main(argv: list[str] | None = None) -> int:
         settings = replace(settings, chip_backend=args.backend)
     if args.jobs is not None:
         settings = replace(settings, chip_jobs=args.jobs)
-    if args.executor is not None:
-        settings = replace(settings, chip_executor=args.executor)
     if args.endpoint is not None:
         settings = replace(settings, chip_endpoint=args.endpoint)
     if args.deadline is not None:
@@ -148,12 +138,11 @@ def main(argv: list[str] | None = None) -> int:
     result = run_all(
         settings=settings,
         include_accuracy=not args.no_accuracy,
-        # Chip backend/jobs/executor/endpoint choices only mean something for
-        # chip runs, so each of them implies the chip cross-validation pass.
+        # Chip backend/jobs/endpoint choices only mean something for chip
+        # runs, so each of them implies the chip cross-validation pass.
         validate_chip=args.validate_chip
         or args.backend is not None
         or args.jobs is not None
-        or args.executor is not None
         or args.endpoint is not None,
     )
     print(result.render())
@@ -166,17 +155,11 @@ def _validate_chip_arguments(
     """Reject inconsistent chip-run options up front, before any work runs."""
     if args.jobs is not None and args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.executor is not None and (args.jobs is None or args.jobs < 2):
-        parser.error(
-            f"--executor {args.executor} selects the ChipPool worker strategy "
-            f"and only takes effect with --jobs >= 2 "
-            f"(got {'no --jobs' if args.jobs is None else f'--jobs {args.jobs}'})"
-        )
     if args.endpoint is not None:
-        if args.jobs is not None or args.executor is not None or args.backend is not None:
+        if args.jobs is not None or args.backend is not None:
             parser.error(
                 "--endpoint sends chip runs to a remote server, which owns its "
-                "own backend/jobs/executor; drop --jobs/--executor/--backend"
+                "own backend/jobs; drop --jobs/--backend"
             )
         try:
             split_endpoints(args.endpoint)

@@ -11,9 +11,8 @@ server, queue worker or sweep harness can sit on:
   compiled fastpath program and encoder state, serving ``infer`` requests
   with per-request batch/labels/timesteps overrides.
 * :class:`~repro.serve.pool.ChipPool` — N workers sharding a large batch
-  behind a pluggable executor (``inline`` / ``thread`` / ``process``),
-  merging shard responses into one result identical to a single-session
-  run.
+  inline or on a thread pool, merging shard responses into one result
+  identical to a single-session run.
 * :mod:`repro.serve.distributed` — the multi-host layer: the executor
   registry, a socket chip server plus :class:`PipelinedSession` client, and a
   capacity-weighted multi-endpoint :class:`InferenceGateway`.

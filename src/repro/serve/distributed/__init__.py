@@ -4,10 +4,9 @@ Three layers share the :class:`~repro.serve.InferenceRequest` ->
 :class:`~repro.serve.InferenceResponse` contract and are each result-
 identical to a single local :class:`~repro.serve.ChipSession`:
 
-* **executors** (:mod:`~repro.serve.distributed.executors`) — pluggable
-  shard execution for :class:`~repro.serve.ChipPool`: ``inline``, ``thread``
-  or ``process`` (one programmed chip per ``multiprocessing`` worker, shard
-  arrays shipped through shared memory).
+* **executors** (:mod:`~repro.serve.distributed.executors`) — in-process
+  shard execution for :class:`~repro.serve.ChipPool`: ``inline`` (on the
+  calling thread) or ``thread`` (one worker session per thread).
 * **server/client** (:mod:`~repro.serve.distributed.server` /
   :mod:`~repro.serve.distributed.client`) — an :mod:`asyncio` chip daemon
   answering protocol-3 binary frames with pipelined request ids and
@@ -26,7 +25,7 @@ Quickstart::
     from repro.serve import ChipPool, InferenceRequest
     from repro.serve.distributed import ChipServer, InferenceGateway, PipelinedSession
 
-    pool = ChipPool(snn, jobs=4, executor="process", seed=7)   # multi-core
+    pool = ChipPool(snn, jobs=4, seed=7)                       # multi-core
     server = ChipServer(pool, port=7070).start()               # multi-host
     remote = PipelinedSession.connect("127.0.0.1:7070")        # many in flight
     gateway = InferenceGateway([remote, local_pool])           # multi-endpoint
@@ -48,7 +47,6 @@ from repro.serve.distributed.client import (
 from repro.serve.distributed.executors import (
     EXECUTORS,
     InlineExecutor,
-    ProcessExecutor,
     SessionSpec,
     ShardExecutor,
     ThreadExecutor,
@@ -72,7 +70,6 @@ __all__ = [
     "InferenceGateway",
     "InlineExecutor",
     "PipelinedSession",
-    "ProcessExecutor",
     "RemoteServerError",
     "ServeRejection",
     "ServingWorkload",

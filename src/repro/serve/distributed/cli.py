@@ -60,7 +60,7 @@ from repro.serve.distributed.client import (
     RemoteServerError,
     parse_endpoint,
 )
-from repro.serve.distributed.executors import EXECUTORS, SessionSpec
+from repro.serve.distributed.executors import SessionSpec
 from repro.serve.distributed.server import (
     SHED_POLICIES,
     ChipServer,
@@ -111,12 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--jobs", type=int, default=2, help="pool worker count (>= 1)"
-    )
-    serve.add_argument(
-        "--executor",
-        default="thread",
-        choices=sorted(EXECUTORS),
-        help="pool shard executor",
     )
     serve.add_argument(
         "--encoder",
@@ -401,7 +395,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         encoder=args.encoder,
         backend=args.backend,
         seed=args.seed,
-        executor=args.executor,
     ) as pool:
         with ChipServer(
             pool,
@@ -416,7 +409,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             host, port = server.address
             print(
                 f"chip-server: {args.workload} ({args.backend}, jobs={args.jobs}, "
-                f"executor={args.executor}, max_batch={args.max_batch}, "
+                f"max_batch={args.max_batch}, "
                 f"max_queue={args.max_queue or 'unbounded'}, "
                 f"shed_policy={args.shed_policy}) "
                 f"listening on {host}:{port}",

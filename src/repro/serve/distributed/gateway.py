@@ -57,12 +57,17 @@ running lock-step.
 Membership is **dynamic**: :meth:`InferenceGateway.add_endpoint`,
 :meth:`~InferenceGateway.drain_endpoint` and
 :meth:`~InferenceGateway.remove_endpoint` change the fleet while batches are
-in flight.  A shard plan holds direct references to its endpoints, so
-in-flight batches always complete against the endpoints they were planned
-on; the next ``submit()`` sees the updated membership.  Draining endpoints
-are skipped by the planner (and by shed-retry) but keep serving the shards
-already placed on them — exactly the handshake a fleet controller needs to
-retire a replica without failing work.
+in flight.  A shard plan holds direct references to its endpoints, so a
+shard already dispatched always completes against the endpoint it was sent
+to; the next ``submit()`` sees the updated membership.  A shard still
+*queued* in the gateway's dispatch pool when the membership changes is
+re-placed as it dispatches (adaptive gateways only): it goes to the serving
+endpoint with the most spare capacity, judged by the shards already
+dispatched to each, so a replica that joins mid-burst takes part of the
+backlog queued before it existed.  Draining endpoints are skipped by the
+planner (and by shed-retry) but keep serving the shards already dispatched
+to them — exactly the handshake a fleet controller needs to retire a
+replica without failing work.
 
 The merge is exact: predictions and spike counts concatenate per-sample,
 event counters sum, and the energy report is the component-wise sum of the
@@ -156,6 +161,10 @@ class GatewayEndpoint:
     #: Gateway shards planned onto this endpoint and not yet finished
     #: (queued behind the endpoint lock, executing, or mid-retry).
     inflight: int = field(default=0, init=False, repr=False, compare=False)
+    #: Attempts handed to this endpoint and not yet returned (waiting on
+    #: ``lock`` or executing) — ``inflight`` minus the shards still queued
+    #: in the gateway's dispatch pool.
+    dispatched: int = field(default=0, init=False, repr=False, compare=False)
     #: Last polled remote backlog (server queue depth + inflight).
     load_hint: float = field(default=0.0, init=False, repr=False, compare=False)
     #: ``time.monotonic()`` of the last backlog poll.
@@ -166,7 +175,7 @@ class GatewayEndpoint:
         default_factory=dict, init=False, repr=False, compare=False
     )
     #: Draining (graceful retirement): the planner and shed-retry skip this
-    #: endpoint, but shards already placed on it run to completion.
+    #: endpoint, but shards already dispatched to it run to completion.
     draining: bool = field(default=False, init=False, repr=False, compare=False)
     #: Whether ``target.submit`` exists (pipelined remotes): hedged dispatch
     #: then gets a cancellable future, so losing attempts can be revoked on
@@ -225,6 +234,9 @@ class _ShardPlan:
     hedged_from: str | None = None
     #: Shed retries this shard consumed from the request's budget.
     retries: int = 0
+    #: Membership epoch the plan was made against (see
+    #: :meth:`_ShardRun._replace_if_membership_changed`).
+    epoch: int = 0
 
 
 class _MergeState:
@@ -505,6 +517,8 @@ class _ShardRun:
         if already_won:  # lost before ever starting (pool queue)
             self._attempt_cancelled(attempt)
             return
+        if not attempt.hedge:
+            self._replace_if_membership_changed(attempt)
         while True:
             try:
                 response = self.gateway._infer_on_attempt(
@@ -530,6 +544,48 @@ class _ShardRun:
                 return
             self._attempt_finished(attempt, response)
             return
+
+    def _replace_if_membership_changed(self, attempt: _ShardAttempt) -> None:
+        """Re-place a primary attempt whose plan predates a membership change.
+
+        Under a burst a shard can wait in the dispatch pool for longer than
+        a replica takes to join or drain.  When the membership changed since
+        planning, the attempt goes to the serving endpoint with the most
+        spare capacity *now*, judged by the attempts already dispatched to
+        each endpoint rather than by ``inflight``: the shards still queued
+        and bound to an endpoint are exactly the ones that may move.  The
+        planned endpoint keeps the shard on ties, a non-adaptive gateway
+        keeps its static plan, a shard already hedged stays put (its
+        duplicate took the least-loaded sibling), and a fleet with nothing
+        serving keeps the plan (the endpoint's own refusal then surfaces).
+        """
+        gateway = self.gateway
+        # An unchanged epoch (the common case) costs one attribute read.
+        if not gateway.adaptive or self.shard.epoch == gateway._membership_epoch:
+            return
+        with self.lock:
+            if self.hedged:
+                return
+        endpoints = gateway._serving_endpoints()
+        if not endpoints:
+            return
+        planned = attempt.endpoint
+
+        def spare(endpoint: GatewayEndpoint) -> float:
+            return endpoint.capacity / (
+                1.0 + endpoint.dispatched + endpoint.load_hint
+            )
+
+        with gateway._load_lock:
+            # max() keeps the earliest endpoint on full ties.
+            best = max(endpoints, key=spare)
+            if any(e is planned for e in endpoints) and spare(planned) >= spare(best):
+                return
+            planned.inflight -= 1
+            best.inflight += 1
+        with self.lock:
+            attempt.endpoint = best
+            self.shard.endpoint = best
 
     def _shed_retry(
         self, attempt: _ShardAttempt, exc: RemoteServerError
@@ -763,6 +819,9 @@ class InferenceGateway:
         # Guards membership changes (add/remove/drain) against concurrent
         # planners; planners work on snapshots, so holding it is brief.
         self._membership_lock = threading.Lock()
+        # Bumped by every membership change; a queued shard planned under an
+        # older epoch is re-placed when it dispatches.
+        self._membership_epoch = 0
         # Guards the per-endpoint inflight counters and load hints (the
         # endpoint `lock` is held for whole inferences — too coarse here).
         self._load_lock = threading.Lock()
@@ -826,9 +885,11 @@ class InferenceGateway:
     ) -> GatewayEndpoint:
         """Join an endpoint to the fleet; the next ``submit()`` can use it.
 
-        In-flight batches are untouched (their plans hold endpoint
-        references).  Endpoint names must be unique — they are what
-        :meth:`drain_endpoint` / :meth:`remove_endpoint` address.
+        Shards already dispatched are untouched; shards still queued in
+        the dispatch pool may move to it as they dispatch (see
+        :meth:`_ShardRun._replace_if_membership_changed`).  Endpoint names
+        must be unique — they are what :meth:`drain_endpoint` /
+        :meth:`remove_endpoint` address.
         """
         endpoint = (
             target
@@ -843,6 +904,7 @@ class InferenceGateway:
                     f"gateway already has an endpoint named {endpoint.name!r}"
                 )
             self._endpoints.append(endpoint)
+            self._membership_epoch += 1
             # Keep ~2 dispatch threads available per endpoint.  stdlib pools
             # have no public resize; raising the cap is how they grow (the
             # attribute is stable across supported CPythons).
@@ -862,6 +924,7 @@ class InferenceGateway:
             for endpoint in self._endpoints:
                 if endpoint.name == name:
                     endpoint.draining = True
+                    self._membership_epoch += 1
                     return endpoint
         raise KeyError(f"gateway has no endpoint named {name!r}")
 
@@ -871,6 +934,7 @@ class InferenceGateway:
             for index, endpoint in enumerate(self._endpoints):
                 if endpoint.name == name:
                     del self._endpoints[index]
+                    self._membership_epoch += 1
                     return endpoint
         raise KeyError(f"gateway has no endpoint named {name!r}")
 
@@ -991,6 +1055,9 @@ class InferenceGateway:
         plan.  A single-endpoint plan degenerates to one whole-batch shard
         — no splitting, just the dispatch/merge envelope.
         """
+        # Read before the snapshot: a change in between only makes the
+        # shards re-check their placement when they dispatch.
+        epoch = self._membership_epoch
         endpoints = self._serving_endpoints()
         if not endpoints:
             raise RuntimeError(
@@ -1009,7 +1076,9 @@ class InferenceGateway:
             cumulative += weight
             stop = round(batch * cumulative / total)
             if stop > start:
-                plan.append(_ShardPlan(endpoint=endpoint, start=start, stop=stop))
+                plan.append(
+                    _ShardPlan(endpoint=endpoint, start=start, stop=stop, epoch=epoch)
+                )
                 start = stop
         return plan
 
@@ -1069,26 +1138,33 @@ class InferenceGateway:
         # concurrency (pools shard further, pipelined remotes pipeline),
         # and most targets' infer() is not reentrant.  The inflight counter
         # is maintained by plan-time accounting and the attempt lifecycle,
-        # not here, so queued-but-unstarted shards count too.
+        # not here, so queued-but-unstarted shards count too; ``dispatched``
+        # counts only the attempts that reached this point.
         endpoint = attempt.endpoint
-        with endpoint.lock:
-            if endpoint.supports_submit:
-                # Dispatch through submit() so the in-flight work has a
-                # cancellable handle: if this attempt loses a hedge race,
-                # cancel() revokes it (frees the server queue slot) and
-                # unblocks this worker with CancelledError.
-                if deadline_s is not None and endpoint.submit_supports_deadline:
-                    future = endpoint.target.submit(
-                        sub_request, deadline_s=deadline_s
-                    )
-                else:
-                    future = endpoint.target.submit(sub_request)
-                attempt.wire_future = future
-                try:
-                    return future.result()
-                finally:
-                    attempt.wire_future = None
-            return endpoint.target.infer(sub_request)
+        with self._load_lock:
+            endpoint.dispatched += 1
+        try:
+            with endpoint.lock:
+                if endpoint.supports_submit:
+                    # Dispatch through submit() so the in-flight work has a
+                    # cancellable handle: if this attempt loses a hedge race,
+                    # cancel() revokes it (frees the server queue slot) and
+                    # unblocks this worker with CancelledError.
+                    if deadline_s is not None and endpoint.submit_supports_deadline:
+                        future = endpoint.target.submit(
+                            sub_request, deadline_s=deadline_s
+                        )
+                    else:
+                        future = endpoint.target.submit(sub_request)
+                    attempt.wire_future = future
+                    try:
+                        return future.result()
+                    finally:
+                        attempt.wire_future = None
+                return endpoint.target.infer(sub_request)
+        finally:
+            with self._load_lock:
+                endpoint.dispatched -= 1
 
     def _cancel_attempt(self, attempt: _ShardAttempt) -> bool:
         """Best-effort revocation of a losing attempt; never raises.

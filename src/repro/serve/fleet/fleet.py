@@ -154,7 +154,8 @@ class ElasticFleet:
         """Retire the newest replica without failing any in-flight work.
 
         The handshake: (1) drain the gateway endpoint — new plans skip it,
-        shards already placed keep running; (2) drain the server — it
+        shards already dispatched keep running and queued ones move to a
+        serving sibling as they dispatch; (2) drain the server — it
         answers everything admitted, then exits; (3) join the process;
         (4) remove the endpoint.  Any shard racing the handshake gets the
         structured ``draining`` error and the gateway re-runs it once on a

@@ -1,20 +1,19 @@
 """Sharded inference across a pool of chip sessions.
 
 :class:`ChipPool` owns a primary :class:`~repro.serve.ChipSession` plus a
-pluggable :class:`~repro.serve.distributed.executors.ShardExecutor` that runs
-``jobs`` workers — inline on the calling thread, on a thread pool, or in
-``multiprocessing`` worker processes each holding its own programmed chip.
-Each request batch is split into contiguous shards, one per worker, and the
-merged response is *result-identical* to running the whole batch on one
-session regardless of the executor:
+:class:`~repro.serve.distributed.executors.ShardExecutor` that runs ``jobs``
+workers, inline on the calling thread or on a thread pool.  Each request
+batch is split into contiguous shards, one per worker, and the merged
+response is *result-identical* to running the whole batch on one session
+regardless of the executor:
 
 * encoding is shard-stable — every worker derives the pool's
   :class:`~repro.snn.encoding.EncoderState` and receives its shard's
   absolute ``sample_offset``, so sample ``i`` gets the same spike train no
-  matter how (or where) the batch is partitioned;
-* chip programming is a pure function of ``(snn, config, seed)``, so thread
-  workers sharing the primary chip and process workers rebuilding their own
-  execute the same hardware;
+  matter how the batch is partitioned;
+* chip programming is a pure function of ``(snn, config, seed)``, so
+  vectorized workers sharing the primary chip and structural workers
+  rebuilding their own execute the same hardware;
 * predictions and spike counts are per-sample and concatenate exactly;
 * event counters are integer totals that sum exactly across shards, and the
   merged counters are converted to energy through the primary session's own
@@ -31,7 +30,7 @@ import numpy as np
 
 from repro.core.config import ArchitectureConfig
 from repro.energy.components import ComponentLibrary
-from repro.serve.distributed.executors import SessionSpec, ShardExecutor, make_executor
+from repro.serve.distributed.executors import SessionSpec, make_executor
 from repro.serve.metrics import (
     PHASE_COMPUTE,
     PHASE_MERGE,
@@ -53,14 +52,10 @@ class ChipPool:
     Parameters
     ----------
     executor:
-        Worker strategy: ``"inline"`` (sequential, debugging baseline),
-        ``"thread"`` (default; NumPy kernels release the GIL) or
-        ``"process"`` (one chip per worker process, requests shipped through
-        the JSON schema).  A :class:`ShardExecutor` instance is also
-        accepted.  All executors return identical results.  A ``jobs=1``
-        pool never shards, so no workers are provisioned and the executor
-        choice is effectively ``inline`` (a process worker would program a
-        chip that is never consulted).
+        Worker strategy: ``"inline"`` (sequential, debugging baseline) or
+        ``"thread"`` (default; NumPy kernels release the GIL).  Both return
+        identical results.  A ``jobs=1`` pool never shards, so no workers
+        are provisioned and the executor is ``inline`` whatever was asked.
     """
 
     def __init__(
@@ -75,7 +70,7 @@ class ChipPool:
         backend: str = "vectorized",
         seed: int = 0,
         encoder_state: EncoderState | None = None,
-        executor: str | ShardExecutor = "thread",
+        executor: str = "thread",
         registry: MetricsRegistry | None = None,
     ):
         if jobs < 1:
@@ -134,10 +129,15 @@ class ChipPool:
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the workers (idempotent)."""
-        if not self._closed:
-            self._closed = True
-            self._shard_executor.close()
+        """Shut down the workers (idempotent).
+
+        Waits for the dispatch in flight, whose later waves still need the
+        workers; every dispatch after this raises ``RuntimeError``.
+        """
+        with self._infer_lock:
+            if not self._closed:
+                self._closed = True
+                self._shard_executor.close()
 
     def __enter__(self) -> "ChipPool":
         return self
@@ -251,11 +251,11 @@ class ChipPool:
                 # the primary session without touching the executor.
                 started = time.monotonic()
                 response = self.session.infer(requests[0])
-                record_phase(
-                    response.metadata, PHASE_COMPUTE, time.monotonic() - started
-                )
+                compute_s = time.monotonic() - started
+                record_phase(response.metadata, PHASE_COMPUTE, compute_s)
                 self._m_dispatches.inc()
                 self._m_shards.inc()
+                self._m_compute.observe(compute_s)
                 return [response]
             shard_requests = [
                 request.shard(start, stop)

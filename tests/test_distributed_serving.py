@@ -5,7 +5,7 @@ pool: a distributed run is only allowed to be *parallel* (or *remote*) —
 never different.  Predictions, spike counts and every integer event counter
 must match a single :class:`~repro.serve.ChipSession` exactly; accumulated
 float energies agree to 1e-9 relative.  That must hold for every shard
-executor (inline / thread / process), for a response read back over the
+executor (inline / thread), for a response read back over the
 chip server's socket, and for a gateway merge across mixed local/remote
 endpoints.
 """
@@ -13,6 +13,7 @@ endpoints.
 from __future__ import annotations
 
 import socket
+import sys
 
 import numpy as np
 import pytest
@@ -115,7 +116,9 @@ class TestExecutors:
         assert sharded.jobs == 3
         _assert_responses_identical(single_response, sharded)
 
-    def test_process_executor_structural_backend(self, workload):
+    @staticmethod
+    def _structural_run(workload, executor, batches):
+        """One structural session's answer and ``batches`` runs of a pool."""
         snn, config, inputs, labels = workload
         request = InferenceRequest(inputs=inputs[:4], labels=labels[:4])
         session = ChipSession(
@@ -123,40 +126,50 @@ class TestExecutors:
             backend="structural", seed=2,
         )
         single = session.infer(request)
-        with ChipPool(
-            snn,
-            jobs=2,
-            config=config,
-            timesteps=4,
-            encoder="poisson",
-            backend="structural",
-            seed=2,
-            executor="process",
-        ) as pool:
-            sharded = pool.infer(request)
+        # Switch threads as often as possible, so two workers that wrongly
+        # shared one chip would interleave on it instead of taking turns.
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ChipPool(
+                snn,
+                jobs=2,
+                config=config,
+                timesteps=4,
+                encoder="poisson",
+                backend="structural",
+                seed=2,
+                executor=executor,
+            ) as pool:
+                assert pool.executor == executor
+                sharded = [pool.infer(request) for _ in range(batches)]
+        finally:
+            sys.setswitchinterval(previous)
+        return single, sharded
+
+    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    def test_structural_backend_matches_single_session(self, workload, executor):
+        # Structural workers mutate their chip in place, so the thread
+        # executor rebuilds one chip per worker from the pool's spec.
+        single, (sharded,) = self._structural_run(workload, executor, batches=1)
+        assert sharded.jobs == 2
         _assert_responses_identical(single, sharded)
 
-    def test_process_executor_repeated_batches(self, workload, single_response):
+    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    def test_structural_backend_repeated_batches(self, workload, executor):
         # Worker chips live for the pool's lifetime; the second batch must
         # not inherit state from the first (counters are per-run deltas).
-        snn, config, inputs, labels = workload
-        request = InferenceRequest(inputs=inputs, labels=labels)
-        with ChipPool(
-            snn, jobs=2, config=config, timesteps=6, encoder="poisson",
-            seed=11, executor="process",
-        ) as pool:
-            first = pool.infer(request)
-            second = pool.infer(request)
-        _assert_responses_identical(single_response, first)
-        _assert_responses_identical(single_response, second)
+        single, (first, second) = self._structural_run(workload, executor, batches=2)
+        _assert_responses_identical(single, first)
+        _assert_responses_identical(first, second)
 
     def test_single_worker_pool_downgrades_to_inline(self, workload, single_response):
-        # jobs=1 never shards, so no process worker (with its own programmed
+        # jobs=1 never shards, so no worker thread (or structural worker
         # chip) should be provisioned; the executor name is still validated.
         snn, config, inputs, labels = workload
         with ChipPool(
             snn, jobs=1, config=config, timesteps=6, encoder="poisson",
-            seed=11, executor="process",
+            seed=11, executor="thread",
         ) as pool:
             assert pool.executor == "inline"
             response = pool.infer(InferenceRequest(inputs=inputs, labels=labels))
@@ -169,21 +182,9 @@ class TestExecutors:
         with pytest.raises(ValueError, match="executor must be one of"):
             ChipPool(snn, jobs=2, config=config, executor="carrier-pigeon")
         with pytest.raises(ValueError, match="executor must be one of"):
+            ChipPool(snn, jobs=2, config=config, executor="process")
+        with pytest.raises(ValueError, match="executor must be one of"):
             make_executor("quantum")
-
-    def test_executor_instance_accepted(self, workload, single_response):
-        snn, config, inputs, labels = workload
-        with ChipPool(
-            snn,
-            jobs=2,
-            config=config,
-            timesteps=6,
-            encoder="poisson",
-            seed=11,
-            executor=make_executor("inline"),
-        ) as pool:
-            sharded = pool.infer(InferenceRequest(inputs=inputs, labels=labels))
-        _assert_responses_identical(single_response, sharded)
 
 
 # -- server / client ----------------------------------------------------------------
@@ -445,19 +446,6 @@ class TestExperimentWiring:
             )
         )
 
-    def test_evaluate_chip_executors_agree(self, context):
-        workload = context.prepare("mnist-mlp")
-        thread = context.evaluate_chip(workload, crossbar_size=32, jobs=2)
-        inline = context.evaluate_chip(
-            workload, crossbar_size=32, jobs=2, executor="inline"
-        )
-        np.testing.assert_array_equal(thread.predictions, inline.predictions)
-        np.testing.assert_array_equal(thread.spike_counts, inline.spike_counts)
-        assert thread.counters.as_dict() == inline.counters.as_dict()
-        assert inline.energy.total_j == pytest.approx(
-            thread.energy.total_j, rel=ENERGY_RTOL
-        )
-
     def test_evaluate_chip_endpoint_roundtrip(self, context):
         # A server wrapping the *same prepared workload* must hand back the
         # exact numbers a local pooled run produces.
@@ -498,8 +486,6 @@ class TestExperimentWiring:
     def test_settings_validation(self):
         from repro.experiments import ExperimentSettings
 
-        with pytest.raises(ValueError, match="chip_executor must be one of"):
-            ExperimentSettings(chip_executor="smoke-signals")
         with pytest.raises(ValueError, match="HOST:PORT"):
             ExperimentSettings(chip_endpoint="not-an-endpoint")
 
@@ -507,8 +493,6 @@ class TestExperimentWiring:
         "argv",
         [
             ["--jobs", "0"],
-            ["--executor", "process"],
-            ["--executor", "process", "--jobs", "1"],
             ["--endpoint", "nonsense"],
             ["--endpoint", "host:99999"],
             ["--endpoint", "host:7070", "--jobs", "2"],

@@ -137,6 +137,21 @@ class _GatedTarget:
         return self._session.infer(request)
 
 
+class _PermitTarget:
+    """Serves one dispatch per released permit, so backlogs are scripted."""
+
+    def __init__(self, session):
+        self._session = session
+        self.permits = threading.Semaphore(0)
+
+    def __getattr__(self, name):
+        return getattr(self._session, name)
+
+    def infer(self, request):
+        assert self.permits.acquire(timeout=60), "permit never released"
+        return self._session.infer(request)
+
+
 # -- replica lifecycle --------------------------------------------------------------
 
 
@@ -284,7 +299,7 @@ class TestGatewayMembership:
     def test_inflight_plan_completes_against_drained_endpoint(
         self, workload, single_session
     ):
-        """Draining mid-flight never reroutes a shard already placed."""
+        """Draining mid-flight never reroutes a shard already dispatched."""
         _, _, inputs, _ = workload
         gate = _GatedTarget(_fresh_session(workload))
         request = InferenceRequest(inputs=inputs[:12])
@@ -308,6 +323,59 @@ class TestGatewayMembership:
                 shard["endpoint"] == "gated"
                 for shard in response.metadata["shards"]
             )
+
+    def test_queued_shards_move_to_an_endpoint_that_joins(
+        self, workload, single_session
+    ):
+        """A replica joining mid-burst takes shards queued before it existed."""
+        _, _, inputs, _ = workload
+        busy = _PermitTarget(_fresh_session(workload))
+        with InferenceGateway(
+            [GatewayEndpoint(target=busy, name="busy")],
+            name="late-join",
+            load_poll_s=3600.0,
+        ) as gateway:
+            # Every dispatch thread ends up holding a shard on "busy" (one
+            # inside infer, the rest on its lock); two more requests stay
+            # queued in the dispatch pool, bound to "busy" by their plans.
+            workers = gateway._threads._max_workers
+            requests = [
+                InferenceRequest(inputs=inputs[i : i + 1], sample_offset=i)
+                for i in range(workers + 2)
+            ]
+            expected = [single_session.infer(request) for request in requests]
+            futures = [gateway.submit(request) for request in requests]
+            (busy_endpoint,) = gateway.endpoints
+            try:
+                deadline = time.monotonic() + 30
+                while busy_endpoint.dispatched < workers:
+                    assert time.monotonic() < deadline, (
+                        "dispatch threads never reached the busy endpoint"
+                    )
+                    time.sleep(0.005)
+                gateway.add_endpoint(
+                    GatewayEndpoint(target=_fresh_session(workload), name="joined")
+                )
+                # One permit frees one thread; "busy" still holds the
+                # others, so each queued shard it picks up moves to "joined".
+                busy.permits.release()
+                for future in futures[workers:]:
+                    response = future.result(timeout=30)
+                    assert [s["endpoint"] for s in response.metadata["shards"]] == [
+                        "joined"
+                    ]
+            finally:
+                # Never leave dispatch threads parked on "busy" (close()
+                # joins them), whatever failed above.
+                for _ in requests:
+                    busy.permits.release()
+            for index, (want, future) in enumerate(zip(expected, futures)):
+                response = future.result(timeout=60)
+                _assert_identical(want, response)
+                if index < workers:
+                    assert response.metadata["shards"][0]["endpoint"] == "busy"
+            assert busy_endpoint.inflight == 0
+            assert busy_endpoint.dispatched == 0
 
     def test_draining_server_sheds_onto_sibling(self, workload, single_session):
         """A racing scale-down's ``draining`` error retries on a sibling."""

@@ -12,6 +12,8 @@ from_dict`` round trip losslessly.
 from __future__ import annotations
 
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ import pytest
 from repro.core import ArchitectureConfig, EventCounters
 from repro.energy.model import EnergyReport
 from repro.serve import ChipPool, ChipSession, InferenceRequest, InferenceResponse
+from repro.serve.metrics import MetricsRegistry
 from repro.snn import Dense, EncoderState, Network, convert_to_snn
 
 ENERGY_RTOL = 1e-9
@@ -204,8 +207,6 @@ class TestChipPoolParity:
         # chips are mutated in place), so the pool serialises infer() calls;
         # concurrent callers must still each get the exact single-caller
         # answer.
-        from concurrent.futures import ThreadPoolExecutor
-
         snn, config, inputs, labels = workload
         request = InferenceRequest(inputs=inputs[:6], labels=labels[:6])
         with ChipPool(
@@ -234,6 +235,70 @@ class TestChipPoolParity:
         pool.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
             pool.infer(InferenceRequest(inputs=inputs))
+
+    @pytest.mark.parametrize("join_s", [0.0, 0.2])
+    def test_close_waits_for_the_dispatch_in_flight(self, workload, join_s):
+        # Three 1-sample requests on two workers run in waves [[0, 1], [2]].
+        # Hold the dispatch between its waves and close the pool from
+        # another thread: close() must wait for the dispatch, whose second
+        # wave still needs the worker threads.  ``join_s`` only gives
+        # close() time to reach its wait; the outcome must not depend on it.
+        snn, config, inputs, _ = workload
+        requests = [
+            InferenceRequest(inputs=inputs[i : i + 1], sample_offset=i)
+            for i in range(3)
+        ]
+        session = ChipSession(snn, config=config, timesteps=5, encoder="poisson", seed=3)
+        expected = [session.infer(request) for request in requests]
+        pool = ChipPool(
+            snn, jobs=2, config=config, timesteps=5, encoder="poisson", seed=3,
+            executor="thread",
+        )
+        assert pool._pack_waves([1, 1, 1], pool.jobs) == [[0, 1], [2]]
+        between_waves, release = threading.Event(), threading.Event()
+        run_shards = pool._shard_executor.run_shards
+
+        def gated_run_shards(shards):
+            responses = run_shards(shards)
+            if not between_waves.is_set():
+                between_waves.set()
+                release.wait(timeout=60)
+            return responses
+
+        pool._shard_executor.run_shards = gated_run_shards
+        closer = threading.Thread(target=pool.close)
+        with ThreadPoolExecutor(max_workers=1) as caller:
+            dispatch = caller.submit(pool.infer_many, requests)
+            try:
+                assert between_waves.wait(timeout=60)
+                closer.start()
+                closer.join(timeout=join_s)
+                assert closer.is_alive(), "close() returned mid-dispatch"
+            finally:
+                release.set()
+            responses = dispatch.result(timeout=60)
+        closer.join(timeout=60)
+        assert not closer.is_alive()
+        assert len(responses) == 3
+        for want, got in zip(expected, responses):
+            _assert_responses_identical(want, got)
+        with pytest.raises(RuntimeError, match="pool is closed"):
+            pool.infer(requests[0])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_dispatch_observes_compute_seconds(self, workload, jobs):
+        # The single-shard fast path must feed the compute histogram too:
+        # one observation per dispatch, whether or not the request shards.
+        snn, config, inputs, _ = workload
+        registry = MetricsRegistry(enabled=True)
+        with ChipPool(
+            snn, jobs=jobs, config=config, timesteps=4, seed=0, registry=registry
+        ) as pool:
+            pool.infer(InferenceRequest(inputs=inputs[:1]))  # never shards
+            pool.infer(InferenceRequest(inputs=inputs))  # shards when jobs > 1
+        dispatches = registry.counter("repro_pool_dispatches_total").value
+        assert dispatches == 2
+        assert registry.histogram("repro_pool_compute_seconds").count == dispatches
 
     def test_invalid_jobs_rejected(self, workload):
         snn, config, _, _ = workload
