@@ -2,11 +2,10 @@
 
 ``python -m repro.loadlab sweep`` drives one workload through every layer
 of the serving stack — bare session, sharded pool, wire-protocol server,
-multi-server gateway, elastic fleet — under open- and closed-loop load
-profiles, reduces each cell to throughput / latency / queue-wait / shed /
-energy figures, contrasts the topologies with rank-based statistics, and
-appends the run to the versioned perf trajectory at
-``benchmarks/results/loadlab.json``.
+multi-server gateway — under open- and closed-loop load profiles, reduces
+each cell to throughput / latency / queue-wait / shed / energy figures,
+contrasts the topologies with rank-based statistics, and appends the run
+to the versioned perf trajectory at ``benchmarks/results/loadlab.json``.
 
 Modules: :mod:`~repro.loadlab.generator` (load loops),
 :mod:`~repro.loadlab.topologies` (serving arrangements),

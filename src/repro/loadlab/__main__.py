@@ -7,7 +7,7 @@ A quick 2×2 micro-sweep (the CI smoke configuration)::
     python -m repro.loadlab sweep --topologies session server \\
         --closed 1 2 --requests 8 --warmup 1 --batch 4
 
-A fuller matrix with open-loop profiles and the fleet::
+A fuller matrix with open-loop profiles::
 
     python -m repro.loadlab sweep --topologies session pool server gateway \\
         --closed 1 4 --open 5 20 --requests 32 --output /tmp/loadlab.json

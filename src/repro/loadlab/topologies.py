@@ -11,8 +11,6 @@ derived workload through each layer of the serving stack:
              full wire protocol, dynamic batcher and admission control
 ``gateway``  two in-process servers behind an
              :class:`~repro.serve.distributed.InferenceGateway`
-``fleet``    an :class:`~repro.serve.fleet.ElasticFleet` of replica
-             *processes* (controller off: fixed membership, deterministic)
 ========== ====================================================================
 
 Shard-stable encoding makes every topology result-identical for the same
@@ -208,32 +206,11 @@ def _build_gateway(workload: LabWorkload, options: dict) -> Topology:
     return Topology("gateway", gateway.infer, close)
 
 
-def _build_fleet(workload: LabWorkload, options: dict) -> Topology:
-    # Imported lazily: the fleet spawns real replica processes, which the
-    # cheaper topologies never need.
-    from repro.serve.fleet import ElasticFleet, FleetPolicy, ReplicaSpec
-
-    replicas = int(options.get("replicas", 2))
-    fleet = ElasticFleet(
-        ReplicaSpec(
-            session_spec=workload.session_spec,
-            workload="loadlab-fleet",
-            max_batch=int(options.get("max_batch", 8)),
-            max_queue=int(options.get("max_queue", 0)),
-        ),
-        policy=FleetPolicy(min_replicas=replicas, max_replicas=replicas),
-        name="loadlab-fleet",
-        start_controller=False,
-    )
-    return Topology("fleet", fleet.infer, fleet.close)
-
-
 TOPOLOGIES = {
     "session": _build_session,
     "pool": _build_pool,
     "server": _build_server,
     "gateway": _build_gateway,
-    "fleet": _build_fleet,
 }
 
 

@@ -24,26 +24,11 @@ Three subcommands, all runnable as ``python -m repro.serve.distributed``:
   in process and drive one deliberately-shed request, asserting the
   structured ``overloaded`` reply while every admitted request stays
   exact.  Exit code 0 means the whole loop works.
-
-* ``fleet`` — the elastic-fleet smoke: boot an
-  :class:`~repro.serve.fleet.ElasticFleet` (replica processes behind one
-  gateway, autoscaled by the hysteresis controller), flood it with an
-  open-loop burst while synthetic per-dispatch latency manufactures
-  sustained backlog, assert every merged response is bit-identical to a
-  serial single-session run (optionally that the controller scaled up),
-  then drain the whole fleet to zero and assert every replica process
-  exited cleanly::
-
-      PYTHONPATH=src python -m repro.serve.distributed fleet \\
-          --workload mnist-mlp --scale 0.15 --timesteps 4 \\
-          --min-replicas 1 --max-replicas 3 --dispatch-delay 0.05 \\
-          --flood-requests 32 --expect-scale-up
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import subprocess
@@ -60,13 +45,11 @@ from repro.serve.distributed.client import (
     RemoteServerError,
     parse_endpoint,
 )
-from repro.serve.distributed.executors import SessionSpec
 from repro.serve.distributed.server import (
     SHED_POLICIES,
     ChipServer,
     load_benchmark_workload,
 )
-from repro.serve.fleet import ElasticFleet, FleetPolicy, ReplicaSpec
 from repro.serve.distributed.gateway import GatewayEndpoint, InferenceGateway
 from repro.serve.pool import ChipPool
 from repro.serve.retry import RetryBudget
@@ -222,119 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "the fast sibling and win there (0 skips the hedging drive)",
     )
 
-    fleet = sub.add_parser(
-        "fleet",
-        help="boot an autoscaled replica fleet, flood it, drain it to zero",
-    )
-    _add_workload_arguments(fleet)
-    fleet.add_argument(
-        "--min-replicas", type=int, default=1, help="fleet floor (policy bound)"
-    )
-    fleet.add_argument(
-        "--max-replicas", type=int, default=3, help="fleet ceiling (policy bound)"
-    )
-    fleet.add_argument(
-        "--interval",
-        type=float,
-        default=0.1,
-        help="controller sampling interval in seconds",
-    )
-    fleet.add_argument(
-        "--target-backlog",
-        type=float,
-        default=1.0,
-        help="per-replica EWMA pressure that triggers a scale-up",
-    )
-    fleet.add_argument(
-        "--idle-backlog",
-        type=float,
-        default=0.25,
-        help="per-replica EWMA pressure under which the fleet is idle",
-    )
-    fleet.add_argument(
-        "--up-stable",
-        type=float,
-        default=0.2,
-        help="seconds the pressure must stay above target before scaling up",
-    )
-    fleet.add_argument(
-        "--down-stable",
-        type=float,
-        default=5.0,
-        help="seconds the fleet must stay idle before scaling down",
-    )
-    fleet.add_argument(
-        "--cooldown",
-        type=float,
-        default=0.5,
-        help="minimum seconds between any two scale actions",
-    )
-    fleet.add_argument(
-        "--dispatch-delay",
-        type=float,
-        default=0.05,
-        help="synthetic per-dispatch latency injected in every replica "
-        "(manufactures machine-independent backlog; results are unchanged)",
-    )
-    fleet.add_argument(
-        "--flood-requests",
-        type=int,
-        default=32,
-        help="open-loop burst size (requests submitted all at once)",
-    )
-    fleet.add_argument(
-        "--flood-samples",
-        type=int,
-        default=4,
-        help="samples per flood request",
-    )
-    fleet.add_argument(
-        "--expect-scale-up",
-        action="store_true",
-        help="fail unless the controller scaled up during the flood",
-    )
-    fleet.add_argument(
-        "--run-for",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="idle observation window after the flood (lets a small "
-        "--down-stable demonstrate scale-down before teardown)",
-    )
-    fleet.add_argument(
-        "--timeout",
-        type=float,
-        default=120.0,
-        help="per-future wait bound for flood responses, in seconds",
-    )
-    fleet.add_argument(
-        "--boot-timeout",
-        type=float,
-        default=120.0,
-        help="seconds one replica may take to boot and answer its health check",
-    )
-    fleet.add_argument(
-        "--log-dir",
-        default=None,
-        metavar="DIR",
-        help="directory replica processes log to ({replica_id}.log); "
-        "CI dumps these on failure",
-    )
-    fleet.add_argument(
-        "--hedge-after",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="hedge a shard stuck on one replica past this many seconds "
-        "onto the least-loaded sibling (first result wins, the loser is "
-        "cancelled over the wire; omit to disable hedging)",
-    )
-    fleet.add_argument(
-        "--status-json",
-        default=None,
-        metavar="PATH",
-        help="also write the final fleet status dump to this file",
-    )
     return parser
 
 
@@ -362,23 +232,6 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     if getattr(args, "endpoint", None) is not None:
         try:
             parse_endpoint(args.endpoint)
-        except ValueError as exc:
-            parser.error(str(exc))
-    if args.command == "fleet":
-        if args.flood_requests < 1:
-            parser.error(f"--flood-requests must be >= 1, got {args.flood_requests}")
-        if args.flood_samples < 1:
-            parser.error(f"--flood-samples must be >= 1, got {args.flood_samples}")
-        if args.dispatch_delay < 0:
-            parser.error(f"--dispatch-delay must be >= 0, got {args.dispatch_delay}")
-        if args.run_for < 0:
-            parser.error(f"--run-for must be >= 0, got {args.run_for}")
-        if args.hedge_after is not None and args.hedge_after <= 0:
-            parser.error(
-                f"--hedge-after must be > 0 seconds, got {args.hedge_after}"
-            )
-        try:
-            _fleet_policy(args)
         except ValueError as exc:
             parser.error(str(exc))
 
@@ -928,135 +781,6 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fleet_policy(args: argparse.Namespace) -> FleetPolicy:
-    """Translate fleet CLI flags into a validated :class:`FleetPolicy`."""
-    return FleetPolicy(
-        min_replicas=args.min_replicas,
-        max_replicas=args.max_replicas,
-        interval_s=args.interval,
-        target_backlog=args.target_backlog,
-        scale_up_stable_s=args.up_stable,
-        idle_backlog=args.idle_backlog,
-        scale_down_stable_s=args.down_stable,
-        cooldown_s=args.cooldown,
-    )
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    """Elastic-fleet smoke: boot, flood, verify exactness, drain to zero."""
-    workload = load_benchmark_workload(args.workload, scale=args.scale, seed=args.seed)
-    serial = ChipSession(
-        workload.snn, timesteps=args.timesteps, encoder="poisson", seed=args.seed
-    )
-    assert serial.encoder_state is not None
-    spec = ReplicaSpec(
-        session_spec=SessionSpec(
-            snn=workload.snn,
-            config=serial.config,
-            library=None,
-            timesteps=args.timesteps,
-            backend="vectorized",
-            seed=args.seed,
-            encoder_state=serial.encoder_state,
-        ),
-        workload=args.workload,
-        dispatch_delay_s=args.dispatch_delay,
-        log_dir=args.log_dir,
-    )
-    policy = _fleet_policy(args)
-
-    # The flood: an open-loop burst of shard-offset-tagged requests.  The
-    # serial session (no synthetic delay) computes the ground truth — every
-    # fleet answer must match it bit-for-bit regardless of placement.
-    n = min(args.flood_samples, len(workload.test_inputs))
-    requests = []
-    for index in range(args.flood_requests):
-        start = (index * n) % max(1, len(workload.test_inputs) - n + 1)
-        requests.append(
-            InferenceRequest(
-                inputs=workload.test_inputs[start : start + n], sample_offset=start
-            )
-        )
-    expected = [serial.infer(request) for request in requests]
-
-    print(
-        f"fleet: booting {policy.min_replicas} replica(s) of {args.workload} "
-        f"(max {policy.max_replicas}, dispatch delay {args.dispatch_delay:.3f}s)",
-        flush=True,
-    )
-    with ElasticFleet(
-        spec,
-        policy=policy,
-        boot_timeout_s=args.boot_timeout,
-        hedge_after_s=args.hedge_after,
-    ) as fleet:
-        flood_started = time.monotonic()
-        futures = [fleet.submit(request) for request in requests]
-        print(
-            f"fleet: flooded {len(futures)} requests "
-            f"({len(futures) * n} samples) open-loop",
-            flush=True,
-        )
-        for request, future, want in zip(requests, futures, expected):
-            got = future.result(timeout=args.timeout)
-            assert np.array_equal(got.predictions, want.predictions), (
-                f"fleet response at offset {request.sample_offset} diverged "
-                f"from the serial run"
-            )
-            assert np.array_equal(got.spike_counts, want.spike_counts), (
-                f"fleet spike counts at offset {request.sample_offset} "
-                f"diverged from the serial run"
-            )
-        flood_s = time.monotonic() - flood_started
-        if args.run_for > 0:
-            print(
-                f"fleet: idling {args.run_for:.1f}s (scale-down window)",
-                flush=True,
-            )
-            time.sleep(args.run_for)
-        status = fleet.fleet_status()
-        actions = status["controller"]["actions"]
-        events = [
-            event
-            for event in status["controller"]["events"]
-            if event["event"] in ("scale_up", "scale_down")
-        ]
-        print(
-            f"fleet: {len(requests)} exact responses in {flood_s:.2f}s; "
-            f"replicas now {len(status['replicas'])}, actions {actions}",
-            flush=True,
-        )
-        for event in events:
-            print(
-                f"fleet: event {event['event']} "
-                f"{event['replicas_before']}->{event['replicas_after']} "
-                f"(pressure {event['pressure']:.2f})",
-                flush=True,
-            )
-        if args.expect_scale_up:
-            assert actions["scale_up"] >= 1, (
-                f"controller never scaled up under the flood: {status}"
-            )
-        replicas = fleet.manager.replicas
-        dump = json.dumps(status, indent=2, sort_keys=True, default=str)
-        if args.status_json:
-            with open(args.status_json, "w", encoding="utf-8") as handle:
-                handle.write(dump + "\n")
-        print(f"fleet: status {dump}", flush=True)
-    # close() drained every replica; the drain contract says each process
-    # answered its queue and exited cleanly.
-    for replica in replicas:
-        assert not replica.alive, f"replica {replica.replica_id} still alive"
-        assert replica.exitcode == 0, (
-            f"replica {replica.replica_id} exited with {replica.exitcode}"
-        )
-    print(
-        f"fleet: OK ({len(replicas)} replica(s) drained to zero, all exit 0)",
-        flush=True,
-    )
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """Command-line entry point."""
     parser = _build_parser()
@@ -1066,7 +790,6 @@ def main(argv: list[str] | None = None) -> int:
         "serve": _cmd_serve,
         "infer": _cmd_infer,
         "smoke": _cmd_smoke,
-        "fleet": _cmd_fleet,
     }
     return commands[args.command](args)
 

@@ -53,7 +53,7 @@ __all__ = [
 class SessionSpec:
     """Picklable recipe for building interchangeable worker sessions.
 
-    Everything a pool worker or a fleet replica process needs to build a
+    Everything a pool worker or a replica process needs to build a
     :class:`ChipSession` whose chip is programmed identically to the pool's
     primary session.  The spec always carries an explicit
     :class:`EncoderState` (never a legacy RNG stream), so worker encoding is

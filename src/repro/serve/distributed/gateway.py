@@ -56,18 +56,17 @@ running lock-step.
 
 Membership is **dynamic**: :meth:`InferenceGateway.add_endpoint`,
 :meth:`~InferenceGateway.drain_endpoint` and
-:meth:`~InferenceGateway.remove_endpoint` change the fleet while batches are
-in flight.  A shard plan holds direct references to its endpoints, so a
-shard already dispatched always completes against the endpoint it was sent
-to; the next ``submit()`` sees the updated membership.  A shard still
-*queued* in the gateway's dispatch pool when the membership changes is
-re-placed as it dispatches (adaptive gateways only): it goes to the serving
-endpoint with the most spare capacity, judged by the shards already
-dispatched to each, so a replica that joins mid-burst takes part of the
-backlog queued before it existed.  Draining endpoints are skipped by the
-planner (and by shed-retry) but keep serving the shards already dispatched
-to them — exactly the handshake a fleet controller needs to retire a
-replica without failing work.
+:meth:`~InferenceGateway.remove_endpoint` change the endpoint set while
+batches are in flight.  A shard plan holds direct references to its
+endpoints, so a shard already dispatched always completes against the
+endpoint it was sent to; the next ``submit()`` sees the updated membership.
+A shard still *queued* in the gateway's dispatch pool when the membership
+changes is re-placed as it dispatches (adaptive gateways only): it goes to
+the serving endpoint with the most spare capacity, judged by the shards
+already dispatched to each, so a replica that joins mid-burst takes part of
+the backlog queued before it existed.  Draining endpoints are skipped by
+the planner (and by shed-retry) but keep serving the shards already
+dispatched to them, so a replica can be retired without failing work.
 
 The merge is exact: predictions and spike counts concatenate per-sample,
 event counters sum, and the energy report is the component-wise sum of the
@@ -167,13 +166,6 @@ class GatewayEndpoint:
     dispatched: int = field(default=0, init=False, repr=False, compare=False)
     #: Last polled remote backlog (server queue depth + inflight).
     load_hint: float = field(default=0.0, init=False, repr=False, compare=False)
-    #: ``time.monotonic()`` of the last backlog poll.
-    load_polled_at: float = field(default=0.0, init=False, repr=False, compare=False)
-    #: Last polled ``info`` envelope (refresher-populated; what a fleet
-    #: controller reads for shed counters and lifecycle state).
-    info_hint: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
     #: Draining (graceful retirement): the planner and shed-retry skip this
     #: endpoint, but shards already dispatched to it run to completion.
     draining: bool = field(default=False, init=False, repr=False, compare=False)
@@ -188,7 +180,7 @@ class GatewayEndpoint:
         default=False, init=False, repr=False, compare=False
     )
     #: Hedges issued *against* this endpoint (its shard straggled and was
-    #: duplicated elsewhere) — a fleet controller's slow-replica signal.
+    #: duplicated elsewhere) — the slow-replica signal.
     hedges: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -883,7 +875,7 @@ class InferenceGateway:
         capacity: float | None = None,
         name: str | None = None,
     ) -> GatewayEndpoint:
-        """Join an endpoint to the fleet; the next ``submit()`` can use it.
+        """Join an endpoint; the next ``submit()`` can use it.
 
         Shards already dispatched are untouched; shards still queued in
         the dispatch pool may move to it as they dispatch (see
@@ -916,7 +908,7 @@ class InferenceGateway:
     def drain_endpoint(self, name: str) -> GatewayEndpoint:
         """Stop planning new shards onto ``name`` (in-flight work finishes).
 
-        The scale-down handshake: drain here first, then drain the server
+        The retirement handshake: drain here first, then drain the server
         (it answers everything already admitted), then
         :meth:`remove_endpoint` once it exits.
         """
@@ -929,7 +921,7 @@ class InferenceGateway:
         raise KeyError(f"gateway has no endpoint named {name!r}")
 
     def remove_endpoint(self, name: str) -> GatewayEndpoint:
-        """Leave the fleet.  In-flight plans still complete against it."""
+        """Remove an endpoint.  In-flight plans still complete against it."""
         with self._membership_lock:
             for index, endpoint in enumerate(self._endpoints):
                 if endpoint.name == name:
@@ -955,9 +947,9 @@ class InferenceGateway:
     def refresh_load_hints(self) -> None:
         """One synchronous backlog sweep over the current membership.
 
-        This is the refresher thread's body, exposed so tests and fleet
-        controllers can force a fresh sample instead of waiting out the
-        poll interval.  ``submit()`` itself never calls it.
+        This is the refresher thread's body, exposed so tests can force a
+        fresh sample instead of waiting out the poll interval.  ``submit()``
+        itself never calls it.
         """
         for endpoint in self.endpoints:
             self._poll_backlog(endpoint)
@@ -975,7 +967,6 @@ class InferenceGateway:
         """
         target = endpoint.target
         hint: float | None = None
-        info: dict | None = None
         loader = getattr(target, "load", None)
         if callable(loader):
             try:
@@ -990,13 +981,9 @@ class InferenceGateway:
                 )
             except Exception:  # noqa: BLE001 - load probes must never fail a plan
                 hint = None
-                info = None
         with self._load_lock:
-            endpoint.load_polled_at = time.monotonic()
             if hint is not None:
                 endpoint.load_hint = max(0.0, hint)
-            if info is not None:
-                endpoint.info_hint = dict(info)
             return endpoint.load_hint
 
     def _backlog_of(self, endpoint: GatewayEndpoint) -> float:
@@ -1011,9 +998,8 @@ class InferenceGateway:
     def endpoint_loads(self) -> dict[str, dict[str, object]]:
         """Per-endpoint load snapshot (cached; safe to call from anywhere).
 
-        What a fleet controller samples: the gateway-side planned-shard
-        count, the refresher's last server hint and ``info`` envelope, and
-        the draining flag.
+        The gateway-side planned-shard count, the refresher's last server
+        hint, the draining flag and the hedges issued against each endpoint.
         """
         snapshot = self.endpoints
         loads: dict[str, dict[str, object]] = {}
@@ -1025,7 +1011,6 @@ class InferenceGateway:
                     "load_hint": float(endpoint.load_hint),
                     "draining": bool(endpoint.draining),
                     "hedges": int(endpoint.hedges),
-                    "info": dict(endpoint.info_hint),
                 }
         return loads
 
@@ -1039,7 +1024,7 @@ class InferenceGateway:
 
     @property
     def total_capacity(self) -> float:
-        """Sum of the static capacities of the serving (non-draining) fleet."""
+        """Sum of the static capacities of the serving (non-draining) endpoints."""
         return float(sum(e.capacity for e in self._serving_endpoints()))
 
     def shard_plan(self, batch: int) -> list[_ShardPlan]:

@@ -251,8 +251,9 @@ class ChipServer:
         error reply; ``"block"`` holds admission until space frees (the
         client connection feels backpressure instead of an error).
     replica_id:
-        Stable identity this server reports in ``info`` (fleet controllers
-        key their bookkeeping on it); defaults to the bound ``host:port``.
+        Stable identity this server reports in ``info`` (a
+        :class:`~repro.serve.fleet.ReplicaManager` checks it at boot);
+        defaults to the bound ``host:port``.
 
     Use :meth:`serve_forever` to block, or :meth:`start` to serve on a
     background thread; :meth:`close` (or the context manager) tears down
@@ -421,7 +422,7 @@ class ChipServer:
         """The legacy serving counters, as a view over the registry.
 
         Same keys and values as the historical counter dict — ``info``
-        consumers (gateway weights, fleet controller, tests) read exactly
+        and drain-ack consumers (``ReplicaManager``, tests) read exactly
         what they always did; the registry is simply the storage now.
         """
         return {
@@ -472,8 +473,8 @@ class ChipServer:
             "schema_version": SCHEMA_VERSION,
             "protocol_version": PROTOCOL_VERSION,
             "workload": self.workload,
-            # Replica identity: what a fleet controller keys on, plus the
-            # lifecycle state a drain flips.
+            # Replica identity: what ReplicaManager checks at boot, plus
+            # the lifecycle state a drain flips.
             "replica_id": self.replica_id,
             "pid": os.getpid(),
             "state": "draining" if self._draining else "serving",
@@ -657,8 +658,8 @@ class ChipServer:
             "draining": True,
             "was_draining": already,
             "pending": self._active_infers,
-            # Final observability snapshot, so a scale-down never discards
-            # this replica's shed/deadline/cancel history: the drain ack is
+            # Final observability snapshot, so a drain never discards this
+            # replica's shed/deadline/cancel history: the drain ack is
             # the last reply the manager is guaranteed to read before the
             # process exits, and ReplicaManager records both views from it.
             "stats": dict(self.stats),

@@ -13,18 +13,17 @@ The lifecycle protocol:
   pipe, and serves.  The manager then connects a
   :class:`~repro.serve.distributed.PipelinedSession` control/data channel
   and health-checks it with a ping + ``info`` identity read.
-* **serve** — the replica is an ordinary endpoint; callers (usually an
-  :class:`~repro.serve.fleet.ElasticFleet` gateway) submit work through
-  ``replica.client``.
+* **serve** — the replica is an ordinary endpoint; callers submit work
+  through ``replica.client``, directly or as an
+  :class:`~repro.serve.distributed.InferenceGateway` endpoint.
 * **drain** — :meth:`ReplicaManager.drain_replica` sends the graceful
   ``drain`` wire op: the server stops admitting (structured ``draining``
   errors), completes and answers everything already admitted, exits its
   serving loop, and the process terminates with exit code 0.  The manager
   joins the process, so when the call returns the OS resources are gone.
 
-Replicas inherit the parent's interpreter via :mod:`multiprocessing` (the
-platform default start method; pass ``start_method="spawn"`` for a fully
-fresh interpreter per replica at the cost of slower boots).
+Replicas are started with :mod:`multiprocessing`'s platform default start
+method.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import multiprocessing
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.serve.distributed.client import PipelinedSession
@@ -45,12 +44,12 @@ __all__ = ["Replica", "ReplicaManager", "ReplicaSpec"]
 
 
 class _DelayedTarget:
-    """Inject synthetic per-dispatch latency (the fleet's load lab).
+    """Inject synthetic per-dispatch latency (a scripted slow replica).
 
     Wraps the replica's session so every dispatch sleeps first — a
-    machine-independent way to manufacture sustained backlog in tests,
-    benchmarks and smoke runs.  Results are untouched: the sleep happens
-    before the exact same ``infer``/``infer_many`` call.
+    machine-independent way to make one replica straggle in tests and
+    benchmarks.  Results are untouched: the sleep happens before the exact
+    same ``infer``/``infer_many`` call.
     """
 
     def __init__(self, session, delay_s: float):
@@ -71,23 +70,20 @@ class _DelayedTarget:
 
 @dataclass(frozen=True)
 class ReplicaSpec:
-    """Picklable recipe for one fleet replica's server process.
+    """Picklable recipe for one replica's server process.
 
     ``session_spec`` is the chip-provisioning half (network, config,
-    encoder state — see :class:`SessionSpec`); the rest configures the
-    :class:`ChipServer` wrapped around it.  ``dispatch_delay_s`` > 0 wraps
-    the session in a synthetic-latency target (load-lab knob; results are
+    encoder state — see :class:`SessionSpec`); ``workload`` and ``host``
+    configure the :class:`ChipServer` wrapped around it, which otherwise
+    keeps its defaults.  ``dispatch_delay_s`` > 0 wraps the session in a
+    synthetic-latency target (a scripted straggler; results are
     unchanged).  ``log_dir`` redirects the child's stdout/stderr to
-    ``{log_dir}/{replica_id}.log`` so CI can dump replica logs on failure.
+    ``{log_dir}/{replica_id}.log``.
     """
 
     session_spec: SessionSpec
     workload: str = "custom"
     host: str = "127.0.0.1"
-    max_batch: int = 8
-    batch_window_s: float = 0.0
-    max_queue: int = 0
-    shed_policy: str = "reject"
     dispatch_delay_s: float = 0.0
     log_dir: str | None = None
 
@@ -110,10 +106,6 @@ def _replica_main(spec: ReplicaSpec, replica_id: str, conn) -> None:
         host=spec.host,
         port=0,
         workload=spec.workload,
-        max_batch=spec.max_batch,
-        batch_window_s=spec.batch_window_s,
-        max_queue=spec.max_queue,
-        shed_policy=spec.shed_policy,
         replica_id=replica_id,
     )
     # The socket is bound (constructor binds eagerly): hand the address to
@@ -127,14 +119,12 @@ def _replica_main(spec: ReplicaSpec, replica_id: str, conn) -> None:
 
 @dataclass
 class Replica:
-    """A live fleet replica: process handle + pipelined control channel."""
+    """A live replica: process handle + pipelined control channel."""
 
     replica_id: str
     endpoint: tuple[str, int]
     process: multiprocessing.process.BaseProcess
     client: PipelinedSession | None = None
-    started_at: float = field(default_factory=time.time)
-    draining: bool = False
     #: The server's final counter view, captured from the drain
     #: acknowledgement — the last reply the manager is guaranteed to read
     #: before the process exits.  None until the replica drains.
@@ -150,58 +140,33 @@ class Replica:
     def exitcode(self) -> int | None:
         return self.process.exitcode
 
-    def status(self) -> dict[str, object]:
-        """Cheap local snapshot (no RPC)."""
-        return {
-            "replica_id": self.replica_id,
-            "endpoint": f"{self.endpoint[0]}:{self.endpoint[1]}",
-            "pid": self.process.pid,
-            "alive": self.alive,
-            "exitcode": self.exitcode,
-            "draining": self.draining,
-            "uptime_s": max(0.0, time.time() - self.started_at),
-        }
-
 
 class ReplicaManager:
     """Provision, health-check and drain ChipServer replica processes.
 
-    Thread-safe: the fleet controller scales from its own thread while the
-    owner drives shutdown from another.
+    Thread-safe: replicas may be started, drained and listed from
+    different threads.
 
     Parameters
     ----------
     spec:
         What every replica runs (:class:`ReplicaSpec`).
-    start_method:
-        :mod:`multiprocessing` start method (None = platform default).
     boot_timeout_s:
         Seconds one replica may take to build its chip, bind, and answer
         the health-check ping before the boot is declared failed.
-    client_connections:
-        Connection-pool size of each replica's :class:`PipelinedSession`.
     """
 
-    def __init__(
-        self,
-        spec: ReplicaSpec,
-        *,
-        start_method: str | None = None,
-        boot_timeout_s: float = 120.0,
-        client_connections: int = 1,
-    ):
+    def __init__(self, spec: ReplicaSpec, *, boot_timeout_s: float = 120.0):
         if boot_timeout_s <= 0:
             raise ValueError(f"boot_timeout_s must be > 0, got {boot_timeout_s}")
         self.spec = spec
         self.boot_timeout_s = float(boot_timeout_s)
-        self.client_connections = int(client_connections)
-        self._context = multiprocessing.get_context(start_method)
         self._lock = threading.RLock()
         self._replicas: list[Replica] = []
         self._ids = itertools.count(1)
-        #: Summed final counters of every drained replica, so scale-down
-        #: does not silently discard a replica's shed/deadline/cancel
-        #: history (the fleet's lifetime totals stay additive).
+        #: Summed final counters of every drained replica, so retiring a
+        #: replica does not silently discard its shed/deadline/cancel
+        #: history (the manager's lifetime totals stay additive).
         self.retired_stats: dict[str, int] = {}
 
     @property
@@ -219,8 +184,8 @@ class ReplicaManager:
     def start_replica(self) -> Replica:
         """Boot one replica process and health-check it (blocking)."""
         replica_id = f"{self.spec.workload}-r{next(self._ids)}"
-        parent_conn, child_conn = self._context.Pipe(duplex=False)
-        process = self._context.Process(
+        parent_conn, child_conn = multiprocessing.Pipe(duplex=False)
+        process = multiprocessing.Process(
             target=_replica_main,
             args=(self.spec, replica_id, child_conn),
             name=f"chip-replica-{replica_id}",
@@ -229,19 +194,29 @@ class ReplicaManager:
         process.start()
         child_conn.close()
         deadline = time.monotonic() + self.boot_timeout_s
+
+        def died() -> RuntimeError:
+            process.join(timeout=5.0)
+            return RuntimeError(
+                f"replica {replica_id} died during boot "
+                f"(exit code {process.exitcode})"
+            )
+
         try:
             while not parent_conn.poll(0.05):
                 if not process.is_alive():
-                    raise RuntimeError(
-                        f"replica {replica_id} died during boot "
-                        f"(exit code {process.exitcode})"
-                    )
+                    raise died()
                 if time.monotonic() > deadline:
                     raise TimeoutError(
                         f"replica {replica_id} did not report its address "
                         f"within {self.boot_timeout_s:.0f}s"
                     )
-            endpoint = tuple(parent_conn.recv())
+            try:
+                endpoint = tuple(parent_conn.recv())
+            except EOFError:
+                # The child's exit closed the pipe before it sent an
+                # address, which also wakes the poll above.
+                raise died() from None
         except BaseException:
             if process.is_alive():
                 process.terminate()
@@ -258,7 +233,7 @@ class ReplicaManager:
             remaining = max(0.5, deadline - time.monotonic())
             replica.client = PipelinedSession.connect(
                 replica.endpoint,
-                connections=self.client_connections,
+                connections=1,
                 timeout=remaining,
                 wait=remaining,
             )
@@ -309,7 +284,6 @@ class ReplicaManager:
         force-killing the process) if the drain does not complete in time;
         an already-dead replica drains cleanly.
         """
-        replica.draining = True
         try:
             if replica.client is not None:
                 ack = replica.client.drain_server(timeout=timeout_s)
@@ -360,7 +334,7 @@ class ReplicaManager:
                 failures.append(f"{replica.replica_id}: {exc}")
         if failures:
             raise RuntimeError(
-                "fleet teardown left unhealthy replicas: " + "; ".join(failures)
+                "replica teardown left unhealthy replicas: " + "; ".join(failures)
             )
 
     def __enter__(self) -> "ReplicaManager":

@@ -1,26 +1,27 @@
-"""The elastic fleet: replica lifecycle, graceful drain, autoscaling, membership.
+"""Replica processes, the graceful drain and dynamic gateway membership.
 
-The PR-7 subsystem held to the established parity bar — scaling the fleet
-may change *placement* and *throughput*, never numbers:
+Retiring or re-placing work may change *where* samples run, never the
+numbers:
 
 * **replica lifecycle**: :class:`ReplicaManager` boots real ChipServer
-  processes from a picklable :class:`SessionSpec`, health-checks them, and
-  the served results match a single :class:`~repro.serve.ChipSession`
-  exactly;
+  processes from a picklable :class:`SessionSpec`, gives each a distinct
+  identity, health-checks them, serves results that match a single
+  :class:`~repro.serve.ChipSession` exactly, drains every replica to exit
+  code 0, and turns a replica that dies while booting into a
+  ``RuntimeError`` with its exit code;
 * the **graceful ``drain`` op**: a draining server refuses new work with a
-  structured ``draining`` error but answers everything already admitted —
-  no in-flight request is ever failed by a scale-down;
+  structured ``draining`` error but answers everything already admitted,
+  then its serving loop exits;
 * **dynamic gateway membership**: endpoints join, drain and leave while
   batches are in flight, with every merged response bit-identical to the
   single-session run, and ``submit()`` never polling an endpoint
-  synchronously;
-* the **autoscaling controller**: EWMA pressure + hysteresis, proven
-  deterministic against a scripted fleet and an injected clock, then live
-  against real replica processes under a synthetic-latency flood.
+  synchronously.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
 import threading
 import time
 
@@ -37,13 +38,7 @@ from repro.serve.distributed import (
     RemoteServerError,
 )
 from repro.serve.distributed.executors import SessionSpec
-from repro.serve.fleet import (
-    ElasticFleet,
-    FleetController,
-    FleetPolicy,
-    ReplicaManager,
-    ReplicaSpec,
-)
+from repro.serve.fleet import ReplicaManager, ReplicaSpec
 from repro.serve.schema import ERROR_DRAINING
 from repro.snn import Dense, Network, convert_to_snn
 
@@ -157,29 +152,53 @@ class _PermitTarget:
 
 class TestReplicaLifecycle:
     def test_boot_identity_serve_and_drain(self, workload, session_spec, single_session):
+        """Two replicas of one manager: distinct, exact, both drain to exit 0."""
         _, _, inputs, _ = workload
         spec = ReplicaSpec(session_spec=session_spec, workload="fleet-test")
         manager = ReplicaManager(spec, boot_timeout_s=120.0)
-        replica = manager.start_replica()
+        replicas = []
         try:
-            assert replica.alive
-            assert len(manager) == 1
-            info = replica.client.info(refresh=True)
-            # The identity triple the controller (and smoke CLI) reads.
-            assert info["replica_id"] == replica.replica_id
-            assert info["pid"] == replica.process.pid
-            assert info["state"] == "serving"
-            assert manager.check_health() == {replica.replica_id: True}
+            replicas = [manager.start_replica(), manager.start_replica()]
+            assert len(manager) == 2
+            assert replicas[0].replica_id != replicas[1].replica_id
             request = InferenceRequest(inputs=inputs[:6])
-            _assert_identical(
-                single_session.infer(request),
-                replica.client.infer(request),
-            )
+            expected = single_session.infer(request)
+            for replica in replicas:
+                assert replica.alive
+                info = replica.client.info(refresh=True)
+                # The identity the manager checks at boot, plus the state.
+                assert info["replica_id"] == replica.replica_id
+                assert info["pid"] == replica.process.pid
+                assert info["state"] == "serving"
+                _assert_identical(expected, replica.client.infer(request))
+            assert manager.check_health() == {
+                replica.replica_id: True for replica in replicas
+            }
         finally:
             manager.stop_all()
         assert len(manager) == 0
-        assert not replica.alive
-        assert replica.exitcode == 0, "drained replica must exit cleanly"
+        for replica in replicas:
+            assert not replica.alive
+            assert replica.exitcode == 0, (
+                f"drained replica {replica.replica_id} exited with "
+                f"{replica.exitcode}"
+            )
+
+    def test_boot_failure_raises_with_the_exit_code(self, session_spec):
+        """A replica that dies while booting raises with its exit code."""
+        spec = ReplicaSpec(
+            session_spec=dataclasses.replace(session_spec, backend="bogus"),
+            workload="fleet-bogus",
+        )
+        manager = ReplicaManager(spec, boot_timeout_s=120.0)
+        with pytest.raises(RuntimeError, match=r"died during boot \(exit code 1\)"):
+            manager.start_replica()
+        assert len(manager) == 0
+        assert not [
+            child
+            for child in multiprocessing.active_children()
+            if child.name.startswith("chip-replica-fleet-bogus")
+        ]
 
     def test_drain_of_dead_replica_is_clean(self, session_spec):
         spec = ReplicaSpec(session_spec=session_spec, workload="fleet-dead")
@@ -237,10 +256,8 @@ class TestDrainOp:
                     serial.infer(queued), future_queued.result(timeout=60)
                 )
             # The serving loop exits on its own once the queue is answered.
-            deadline = time.monotonic() + 30
-            while server._thread.is_alive():
-                assert time.monotonic() < deadline, "drained server never exited"
-                time.sleep(0.01)
+            server._thread.join(timeout=30)
+            assert not server._thread.is_alive(), "drained server never exited"
 
 
 # -- dynamic gateway membership -----------------------------------------------------
@@ -470,229 +487,3 @@ class TestGatewayMembership:
                 t.name == thread_name and t.is_alive()
                 for t in threading.enumerate()
             ), "close() must join the refresher thread"
-
-
-# -- the autoscaling controller (scripted, deterministic) ---------------------------
-
-
-class _ScriptedFleet:
-    """A fleet whose load and scaling the test scripts directly."""
-
-    def __init__(self, replicas: int = 1):
-        self.replicas = replicas
-        self.backlog = 0.0
-        self.shed_total = 0
-        self.refuse = False
-
-    def replica_count(self) -> int:
-        return self.replicas
-
-    def load_signals(self):
-        return [
-            {"backlog": self.backlog, "shed": self.shed_total}
-            for _ in range(self.replicas)
-        ]
-
-    def scale_up(self) -> bool:
-        if self.refuse:
-            return False
-        self.replicas += 1
-        return True
-
-    def scale_down(self) -> bool:
-        if self.refuse:
-            return False
-        self.replicas -= 1
-        return True
-
-
-class TestFleetController:
-    def _policy(self, **overrides):
-        defaults = dict(
-            min_replicas=1,
-            max_replicas=3,
-            interval_s=0.1,
-            target_backlog=2.0,
-            scale_up_stable_s=1.0,
-            idle_backlog=0.5,
-            scale_down_stable_s=2.0,
-            cooldown_s=3.0,
-            ewma_alpha=1.0,
-        )
-        defaults.update(overrides)
-        return FleetPolicy(**defaults)
-
-    def test_hysteresis_is_deterministic_under_an_injected_clock(self):
-        fleet = _ScriptedFleet(replicas=1)
-        controller = FleetController(fleet, self._policy())
-        fleet.backlog = 5.0
-        # Above target, but not yet sustained for scale_up_stable_s.
-        assert controller.step(now=0.0) is None
-        assert controller.step(now=0.5) is None
-        event = controller.step(now=1.0)
-        assert event["event"] == "scale_up"
-        assert (event["replicas_before"], event["replicas_after"]) == (1, 2)
-        # Hysteresis re-armed + cooldown: sustained pressure alone is not
-        # enough until cooldown_s elapsed since the last action.
-        assert controller.step(now=1.5) is None
-        assert controller.step(now=2.5) is None
-        event = controller.step(now=4.0)
-        assert event["event"] == "scale_up"
-        assert fleet.replicas == 3
-        # At max_replicas the controller refuses to even try.
-        assert controller.step(now=5.5) is None
-        assert fleet.replicas == 3
-
-    def test_scale_down_needs_a_sustained_idle_window(self):
-        fleet = _ScriptedFleet(replicas=3)
-        controller = FleetController(fleet, self._policy())
-        fleet.backlog = 0.0
-        assert controller.step(now=0.0) is None
-        assert controller.step(now=1.9) is None  # idle 1.9s < 2.0s
-        event = controller.step(now=2.0)
-        assert event["event"] == "scale_down"
-        assert fleet.replicas == 2
-        # Next scale-down needs a fresh idle window *and* the cooldown.
-        assert controller.step(now=3.0) is None
-        assert controller.step(now=4.9) is None
-        event = controller.step(now=5.0)
-        assert event["event"] == "scale_down"
-        assert fleet.replicas == 1
-        # Never below min_replicas, no matter how long the idle lasts.
-        for now in (8.0, 12.0, 20.0):
-            assert controller.step(now=now) is None
-        assert fleet.replicas == 1
-
-    def test_bursty_pressure_does_not_flap(self):
-        """A signal that dips below target resets the sustained window."""
-        fleet = _ScriptedFleet(replicas=1)
-        controller = FleetController(fleet, self._policy())
-        fleet.backlog = 5.0
-        assert controller.step(now=0.0) is None
-        fleet.backlog = 0.0  # the burst ends before the window fills
-        assert controller.step(now=0.9) is None
-        fleet.backlog = 5.0
-        assert controller.step(now=1.0) is None  # window restarted at 1.0
-        assert controller.step(now=1.9) is None
-        assert controller.step(now=2.0)["event"] == "scale_up"
-
-    def test_refused_actions_are_recorded_not_retried_blindly(self):
-        fleet = _ScriptedFleet(replicas=1)
-        controller = FleetController(fleet, self._policy())
-        fleet.backlog = 5.0
-        fleet.refuse = True
-        assert controller.step(now=0.0) is None
-        assert controller.step(now=1.0) is None
-        assert fleet.replicas == 1
-        assert controller.events[-1]["event"] == "scale_up_refused"
-        # The refusal did not burn the cooldown: once the fleet accepts,
-        # the still-sustained window acts immediately.
-        fleet.refuse = False
-        assert controller.step(now=1.1)["event"] == "scale_up"
-
-    def test_shed_counters_raise_pressure_and_never_go_negative(self):
-        fleet = _ScriptedFleet(replicas=1)
-        policy = self._policy(ewma_alpha=0.5)
-        controller = FleetController(fleet, policy)
-        controller.step(now=0.0)  # seeds EWMAs and the shed baseline at 0
-        fleet.shed_total = 4
-        controller.step(now=1.0)
-        status = controller.status()
-        # delta 4 sheds / 1 replica, EWMA alpha 0.5 over a 0 seed -> 2.0.
-        assert status["ewma_shed_rate"] == pytest.approx(2.0)
-        assert status["pressure"] == pytest.approx(
-            status["ewma_backlog"] + policy.shed_weight * 2.0
-        )
-        # A retiring replica stepping the cumulative counter *down* clamps
-        # the delta at zero instead of producing negative pressure.
-        fleet.shed_total = 1
-        controller.step(now=2.0)
-        assert controller.status()["ewma_shed_rate"] == pytest.approx(1.0)
-
-    def test_policy_validation(self):
-        with pytest.raises(ValueError, match="min_replicas"):
-            FleetPolicy(min_replicas=0)
-        with pytest.raises(ValueError, match="max_replicas"):
-            FleetPolicy(min_replicas=3, max_replicas=2)
-        with pytest.raises(ValueError, match="ewma_alpha"):
-            FleetPolicy(ewma_alpha=0.0)
-        with pytest.raises(ValueError, match="idle_backlog"):
-            FleetPolicy(idle_backlog=3.0, target_backlog=2.0)
-
-
-# -- the live fleet (real replica processes) ----------------------------------------
-
-
-class TestElasticFleet:
-    def test_flood_scales_up_then_idles_down_to_min_exactly(
-        self, workload, session_spec
-    ):
-        """The whole loop: flood -> scale-up -> exact merges -> idle -> min."""
-        _, _, inputs, _ = workload
-        serial = _fresh_session(workload)
-        spec = ReplicaSpec(
-            session_spec=session_spec,
-            workload="fleet-live",
-            dispatch_delay_s=0.05,
-        )
-        policy = FleetPolicy(
-            min_replicas=1,
-            max_replicas=2,
-            interval_s=0.05,
-            target_backlog=1.0,
-            scale_up_stable_s=0.1,
-            idle_backlog=0.25,
-            scale_down_stable_s=0.3,
-            cooldown_s=0.2,
-        )
-        requests = [
-            InferenceRequest(inputs=inputs[offset : offset + 4], sample_offset=offset)
-            for offset in (0, 3, 6, 9) * 6
-        ]
-        expected = {offset: serial.infer(request) for offset, request in
-                    {r.sample_offset: r for r in requests}.items()}
-        with ElasticFleet(
-            spec, policy=policy, name="live-fleet", gateway_load_poll_s=0.05
-        ) as fleet:
-            assert fleet.replica_count() == 1
-            futures = [fleet.submit(request) for request in requests]
-            for request, future in zip(requests, futures):
-                _assert_identical(
-                    expected[request.sample_offset], future.result(timeout=120)
-                )
-            status = fleet.fleet_status()
-            assert status["controller"]["actions"]["scale_up"] >= 1, (
-                f"the flood never scaled the fleet up: {status}"
-            )
-            # The flood is answered; a sustained idle window shrinks the
-            # fleet back to the floor — and never below it.
-            deadline = time.monotonic() + 60
-            while fleet.replica_count() > policy.min_replicas:
-                assert time.monotonic() < deadline, (
-                    f"fleet never scaled back down: {fleet.fleet_status()}"
-                )
-                time.sleep(0.05)
-            time.sleep(0.5)
-            assert fleet.replica_count() == policy.min_replicas
-            # One more request after all the churn: still exact.
-            _assert_identical(expected[0], fleet.infer(requests[0]))
-            replicas = fleet.manager.replicas
-        assert fleet.replica_count() == 0
-        for replica in replicas:
-            assert not replica.alive
-            assert replica.exitcode == 0, (
-                f"replica {replica.replica_id} exited with {replica.exitcode}"
-            )
-
-    def test_scale_bounds_are_enforced_by_the_fleet_itself(
-        self, workload, session_spec
-    ):
-        spec = ReplicaSpec(session_spec=session_spec, workload="fleet-bounds")
-        policy = FleetPolicy(min_replicas=1, max_replicas=1, scale_down_stable_s=1.0)
-        with ElasticFleet(
-            spec, policy=policy, name="bounds-fleet", start_controller=False
-        ) as fleet:
-            assert fleet.replica_count() == 1
-            assert fleet.scale_up() is False
-            assert fleet.scale_down() is False
-            assert fleet.replica_count() == 1

@@ -15,8 +15,8 @@ Four layers of guarantees:
   legacy ``info`` counters are three views over one registry and must
   agree exactly;
 * **drain snapshot**: a draining server's final counters ride the drain
-  ack, and the fleet's :class:`ReplicaManager` folds them into
-  ``retired_stats`` so scale-down never loses served-request history.
+  ack, and :class:`ReplicaManager` folds them into ``retired_stats`` so
+  retiring a replica never loses served-request history.
 """
 
 from __future__ import annotations
