@@ -1,52 +1,18 @@
 """Shared fixtures for the pytest-benchmark harness.
 
-Each benchmark module regenerates one of the paper's tables/figures.  The
-workload context is session scoped so the (comparatively expensive) spiking
-simulation of each benchmark network runs once and every figure reuses it —
-the same structure the experiment runner uses.
+Each benchmark module regenerates one of the paper's tables/figures or
+times one serving-path mechanism, and prints the numbers it measures (run
+with ``-s`` to see them).  The workload context is session scoped so the
+(comparatively expensive) spiking simulation of each benchmark network runs
+once and every figure reuses it — the same structure the experiment runner
+uses.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
 import pytest
 
 from repro.experiments import ExperimentSettings, WorkloadContext
-from repro.loadlab.persist import persist_result as _persist_result
-
-#: Where result documents land; CI uploads this directory as an artifact.
-RESULTS_DIR = Path(
-    os.environ.get("BENCH_RESULTS_DIR", Path(__file__).parent / "results")
-)
-
-
-@pytest.fixture(scope="session")
-def persist_result():
-    """The one write path for benchmark artifacts (versioned JSON schema).
-
-    ``persist_result(name, section, payload)`` merges ``payload`` into the
-    ``section`` key of ``benchmarks/results/{name}.json`` (or
-    ``$BENCH_RESULTS_DIR/{name}.json``); ``path=`` overrides the full path
-    for modules with their own legacy env knob, ``append=True`` grows a
-    trajectory list instead of replacing the section.  The document format
-    is :mod:`repro.loadlab.persist`'s — the same schema the load-lab CLI
-    writes — so every artifact in the results directory parses alike.
-    """
-
-    def _persist(
-        name: str,
-        section: str,
-        payload: object,
-        *,
-        append: bool = False,
-        path: str | Path | None = None,
-    ) -> dict:
-        target = Path(path) if path is not None else RESULTS_DIR / f"{name}.json"
-        return _persist_result(target, section, payload, append=append)
-
-    return _persist
 
 
 @pytest.fixture(scope="session")

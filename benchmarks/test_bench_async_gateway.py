@@ -106,7 +106,7 @@ def test_bench_pipelined_gateway(benchmark, gateway_workload):
     assert len(responses) == BATCHES
 
 
-def test_pipelined_beats_lock_step_dispatch(gateway_workload, persist_result):
+def test_pipelined_beats_lock_step_dispatch(gateway_workload):
     """Pipelined dispatch overlaps the alternating stragglers; lock-step cannot."""
     snn, config, requests = gateway_workload
 
@@ -121,18 +121,6 @@ def test_pipelined_beats_lock_step_dispatch(gateway_workload, persist_result):
         pipelined_s = time.perf_counter() - t0
 
     ratio = lock_step_s / pipelined_s
-    persist_result(
-        "async_gateway",
-        "pipelined_vs_lock_step",
-        {
-            "batches": BATCHES,
-            "endpoints": 2,
-            "straggler_delay_s": DELAY_S,
-            "lock_step_s": lock_step_s,
-            "pipelined_s": pipelined_s,
-            "speedup": ratio,
-        },
-    )
     print(
         f"\ngateway dispatch wall-clock ({BATCHES} batches, 2 endpoints, "
         f"{DELAY_S * 1e3:.0f}ms alternating straggler): "
@@ -146,7 +134,7 @@ def test_pipelined_beats_lock_step_dispatch(gateway_workload, persist_result):
         np.testing.assert_array_equal(want.spike_counts, got.spike_counts)
         assert got.energy.total_j == pytest.approx(want.energy.total_j, rel=1e-9)
 
-    if (os.cpu_count() or 1) < 2:
+    if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("pipelined-vs-lock-step threshold needs >= 2 cores")
     assert pipelined_s * PIPELINE_SPEEDUP_FLOOR < lock_step_s, (
         f"pipelined gateway dispatch only {ratio:.2f}x faster than lock-step "

@@ -159,7 +159,7 @@ def test_bench_pool_sharded_inference(benchmark, pool_workload):
     assert response.jobs == POOL_JOBS
 
 
-def test_pool_throughput_beats_single_session(pool_workload, persist_result):
+def test_pool_throughput_beats_single_session(pool_workload):
     """``jobs=4`` must beat ``jobs=1`` on a batch >= 64 (vectorized backend).
 
     The sharded answer must equal the single session's on any machine; the
@@ -178,18 +178,6 @@ def test_pool_throughput_beats_single_session(pool_workload, persist_result):
     print(
         f"\npool wall-clock (batch {POOL_BATCH}): jobs=1 {single_s:.3f}s, "
         f"jobs={POOL_JOBS} {pool_s:.3f}s, speedup {speedup:.2f}x"
-    )
-    persist_result(
-        "backends",
-        "pool_vs_single_session",
-        {
-            "batch": POOL_BATCH,
-            "jobs": POOL_JOBS,
-            "timesteps": TIMESTEPS,
-            "single_s": single_s,
-            "pool_s": pool_s,
-            "speedup": speedup,
-        },
     )
     # Sharding must not change the answer.
     np.testing.assert_array_equal(

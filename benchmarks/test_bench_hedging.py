@@ -7,8 +7,8 @@ that tail into a bounded detour — a shard stuck past ``hedge_after_s`` is
 duplicated onto the least-loaded sibling, the first result wins and the
 loser is cancelled over the wire.
 
-The measurement uses the load-lab's machine-independent trick: three real
-replica processes, two fast and one with a scripted 350ms per-dispatch
+The straggler is scripted, so the measurement is machine-independent: three
+real replica processes, two fast and one with a scripted 350ms per-dispatch
 delay (``ReplicaSpec.dispatch_delay_s`` — results are unchanged), driven
 through two gateways over the *same* replica clients:
 
@@ -24,8 +24,8 @@ computes, never what it computes.  The latency threshold (hedged p95 beats
 unhedged p95) skips on single-core runners like the other concurrency
 benchmarks.
 
-Results land in ``benchmarks/results/hedging.json`` (override with
-``HEDGING_BENCH_RESULTS``).
+The test prints both runs' p95 waits and the hedged run's hedge counts
+(run pytest with ``-s`` to see them).
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ REQUESTS = 10
 #: Six samples split evenly across three equal-capacity endpoints, so the
 #: slow replica receives a shard of every request.
 SAMPLES_PER_REQUEST = 6
-
-#: Legacy per-module override; unset falls through to the shared
-#: ``persist_result`` results directory (``BENCH_RESULTS_DIR``).
-RESULTS_OVERRIDE = os.environ.get("HEDGING_BENCH_RESULTS")
 
 
 @pytest.fixture(scope="module")
@@ -158,18 +154,13 @@ def _drive(replicas, requests, expected, hedge_after_s: float | None) -> dict:
         tail = gateway.tail_stats()
     finally:
         gateway.close()
-    p50, p95 = np.percentile(waits, [50, 95])
     return {
-        "hedge_after_s": hedge_after_s,
-        "requests": len(requests),
-        "straggler_delay_s": STRAGGLER_DELAY_S,
-        "wait_p50_s": float(p50),
-        "wait_p95_s": float(p95),
+        "wait_p95_s": float(np.percentile(waits, 95)),
         **{key: int(value) for key, value in tail.items()},
     }
 
 
-def test_bench_hedging_beats_straggler_p95(hedging_fleet, persist_result):
+def test_bench_hedging_beats_straggler_p95(hedging_fleet):
     """Hedged p95 beats hedging-off against the same scripted straggler."""
     replicas, requests, expected = hedging_fleet
     unhedged = _drive(replicas, requests, expected, hedge_after_s=None)
@@ -183,13 +174,11 @@ def test_bench_hedging_beats_straggler_p95(hedging_fleet, persist_result):
         f"({hedged['hedges_issued']} hedges, {hedged['hedge_wins']} wins, "
         f"{hedged['hedge_wasted_compute']} wasted)"
     )
-    persist_result("hedging", "unhedged", unhedged, path=RESULTS_OVERRIDE)
-    persist_result("hedging", "hedged", hedged, path=RESULTS_OVERRIDE)
 
     assert unhedged["hedges_issued"] == 0, (
         "a hedging-off gateway must never issue a hedge"
     )
-    if (os.cpu_count() or 1) < 2:
+    if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("hedging latency thresholds need >= 2 cores (replica processes)")
     assert hedged["hedges_issued"] >= 1, "the straggler never tripped a hedge"
     assert hedged["hedge_wins"] >= 1, "no hedge ever beat the straggler"

@@ -84,12 +84,12 @@ def test_bench_fused_kernel(benchmark, kernel_workload):
     assert outcome.predictions.shape == (BATCH,)
 
 
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2,
-    reason="timing floor is unreliable on a single busy core",
-)
-def test_fused_kernel_speedup_floor(kernel_workload, persist_result):
-    """Fused kernel must be >= 1.5x the per-tile loop at batch 64."""
+def test_fused_kernel_speedup_floor(kernel_workload):
+    """Fused kernel must be >= 1.5x the per-tile loop at batch 64.
+
+    The answers are re-checked on any machine; the timing floor is asserted
+    only where the process may run on at least two cores.
+    """
     engine, train = kernel_workload
     plan = KernelPlan(engine.program, BATCH, TIMESTEPS)
     # Warm both paths before timing.
@@ -104,25 +104,17 @@ def test_fused_kernel_speedup_floor(kernel_workload, persist_result):
         f"\nkernel wall-clock (batch {BATCH}): reference {reference_s * 1e3:.3f}ms, "
         f"fused {fused_s * 1e3:.3f}ms, speedup {speedup:.2f}x"
     )
-    persist_result(
-        "kernel",
-        "fused_vs_reference",
-        {
-            "batch": BATCH,
-            "timesteps": TIMESTEPS,
-            "reference_s": reference_s,
-            "fused_s": fused_s,
-            "speedup": speedup,
-        },
-    )
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"fused kernel only {speedup:.2f}x faster "
-        f"({reference_s * 1e3:.3f}ms vs {fused_s * 1e3:.3f}ms)"
-    )
     # Speed must not change the answer.
     np.testing.assert_array_equal(reference.predictions, fused.predictions)
     np.testing.assert_array_equal(reference.spike_counts, fused.spike_counts)
     assert (
         reference.counters.as_dict()["io_bus_words"]
         == fused.counters.as_dict()["io_bus_words"]
+    )
+
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("timing floor is unreliable on a single busy core")
+    assert speedup >= SPEEDUP_FLOOR, (
+        f"fused kernel only {speedup:.2f}x faster "
+        f"({reference_s * 1e3:.3f}ms vs {fused_s * 1e3:.3f}ms)"
     )

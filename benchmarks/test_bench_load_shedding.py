@@ -15,9 +15,9 @@ requests (p50/p95) and the shed rate; the exactness assertions always run,
 while the load-dependent thresholds skip on single-core runners like the
 other concurrency benchmarks.
 
-Results land in ``benchmarks/results/load_shedding.json`` (override with
-``LOAD_SHED_BENCH_RESULTS``) so the perf trajectory across PRs is
-inspectable next to the wire-overhead numbers.
+The test prints the admitted and shed counts and the admitted requests'
+queue-wait p50/p95 (run pytest with ``-s`` to see them), also on runners
+where the thresholds skip.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ SAMPLES_PER_REQUEST = 6
 #: is bounded by ~(1 + MAX_QUEUE) dispatches; the generous factor absorbs
 #: chip compute and scheduler jitter on busy CI runners.
 P95_WAIT_CEILING_S = 40 * DISPATCH_DELAY_S * (1 + MAX_QUEUE)
-
-#: Legacy per-module override; unset falls through to the shared
-#: ``persist_result`` results directory (``BENCH_RESULTS_DIR``).
-RESULTS_OVERRIDE = os.environ.get("LOAD_SHED_BENCH_RESULTS")
 
 
 class _SlowTarget:
@@ -99,7 +95,7 @@ def _session(snn, config) -> ChipSession:
     return ChipSession(snn, config=config, timesteps=4, encoder="poisson", seed=13)
 
 
-def test_bench_load_shedding_open_loop(shed_workload, persist_result):
+def test_bench_load_shedding_open_loop(shed_workload):
     """4x-oversubscribed flood: bounded queue, structured sheds, exact survivors."""
     snn, config, requests = shed_workload
     serial = _session(snn, config)
@@ -146,27 +142,8 @@ def test_bench_load_shedding_open_loop(shed_workload, persist_result):
         f"{sheds} shed (rate {shed_rate:.0%}), queue-wait p50 {p50 * 1e3:.1f}ms, "
         f"p95 {p95 * 1e3:.1f}ms"
     )
-    # Persist before the load-dependent thresholds: the numbers are worth
-    # keeping even on runners where the assertions skip.
-    persist_result(
-        "load_shedding",
-        "open_loop",
-        {
-            "requests": total,
-            "max_queue": MAX_QUEUE,
-            "oversubscription": OVERSUBSCRIPTION,
-            "dispatch_delay_s": DISPATCH_DELAY_S,
-            "admitted": admitted,
-            "shed": sheds,
-            "shed_rate": shed_rate,
-            "wait_p50_s": float(p50),
-            "wait_p95_s": float(p95),
-            "p95_wait_ceiling_s": P95_WAIT_CEILING_S,
-        },
-        path=RESULTS_OVERRIDE,
-    )
 
-    if (os.cpu_count() or 1) < 2:
+    if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("load-shedding thresholds need >= 2 cores (open loop vs server)")
     assert sheds > 0, "4x oversubscription never tripped the queue bound"
     assert p95 < P95_WAIT_CEILING_S, (

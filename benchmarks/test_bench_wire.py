@@ -3,8 +3,7 @@
 Protocol v3 exists to take text serialization off the hot path: a feature
 batch crosses the wire as raw little-endian float64 instead of decimal
 text, so encode+decode cost is a memcpy, not a float-printing loop.  This
-benchmark pins that down at two levels and persists the numbers as JSON so
-the perf trajectory across PRs is inspectable:
+benchmark pins that down at two levels:
 
 * **codec-only** — `InferenceRequest`/`InferenceResponse` round-tripped
   through `to_frame`/`from_frame` vs `to_json`/`from_json` on a batch of
@@ -21,8 +20,8 @@ the perf trajectory across PRs is inspectable:
   Load-dependent thresholds skip on single-core runners like the other
   concurrency benchmarks.
 
-Results land in ``benchmarks/results/wire_overhead.json`` (override with
-``WIRE_BENCH_RESULTS``).
+Both tests print their timings and the codec test the request's frame and
+JSON sizes (run pytest with ``-s`` to see them).
 """
 
 from __future__ import annotations
@@ -50,10 +49,6 @@ CODEC_SPEEDUP_FLOOR = 5.0
 #: compute, or (on noisy runners) at least CODEC_SPEEDUP_FLOOR cheaper
 #: than the JSON text codec round trip of the same request and response.
 OVERHEAD_COMPUTE_FRACTION = 0.10
-
-#: Legacy per-module override; unset falls through to the shared
-#: ``persist_result`` results directory (``BENCH_RESULTS_DIR``).
-RESULTS_OVERRIDE = os.environ.get("WIRE_BENCH_RESULTS")
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +83,7 @@ def _best(fn, rounds: int = ROUNDS) -> float:
     return best
 
 
-def test_bench_wire_codec_binary_vs_json(wire_workload, persist_result):
+def test_bench_wire_codec_binary_vs_json(wire_workload):
     """Frame codec must be >= 5x cheaper than the JSON codec at batch 256."""
     snn, config, inputs, labels = wire_workload
     request = InferenceRequest(inputs=inputs, labels=labels, timesteps=TIMESTEPS)
@@ -106,22 +101,12 @@ def test_bench_wire_codec_binary_vs_json(wire_workload, persist_result):
     binary_s = request_binary + response_binary
     json_s = request_json + response_json
     speedup = json_s / binary_s
-    payload = {
-        "batch": BATCH,
-        "features": FEATURES,
-        "request_binary_s": request_binary,
-        "request_json_s": request_json,
-        "response_binary_s": response_binary,
-        "response_json_s": response_json,
-        "speedup": speedup,
-        "frame_bytes": len(bytes(request.to_frame())),
-        "json_bytes": len(request.to_json().encode()),
-    }
-    persist_result("wire_overhead", "codec", payload, path=RESULTS_OVERRIDE)
+    frame_bytes = len(bytes(request.to_frame()))
+    json_bytes = len(request.to_json().encode())
     print(
         f"\nwire codec (batch {BATCH}x{FEATURES}): binary {binary_s * 1e3:.2f}ms, "
         f"JSON {json_s * 1e3:.2f}ms, speedup {speedup:.1f}x "
-        f"({payload['frame_bytes']} vs {payload['json_bytes']} request bytes)"
+        f"({frame_bytes} vs {json_bytes} request bytes)"
     )
     # Round trips must stay lossless before the timing means anything.
     restored = InferenceRequest.from_frame(bytes(request.to_frame()))
@@ -133,7 +118,7 @@ def test_bench_wire_codec_binary_vs_json(wire_workload, persist_result):
     )
 
 
-def test_bench_wire_end_to_end_overhead(wire_workload, persist_result):
+def test_bench_wire_end_to_end_overhead(wire_workload):
     """Binary wire overhead vs chip compute over a real localhost server."""
     snn, config, inputs, labels = wire_workload
     request = InferenceRequest(inputs=inputs, labels=labels)
@@ -155,16 +140,6 @@ def test_bench_wire_end_to_end_overhead(wire_workload, persist_result):
         lambda: InferenceResponse.from_json(got.to_json())
     )
     binary_overhead = max(binary_s - compute_s, 0.0)
-    payload = {
-        "batch": BATCH,
-        "timesteps": TIMESTEPS,
-        "compute_s": compute_s,
-        "binary_round_trip_s": binary_s,
-        "binary_overhead_s": binary_overhead,
-        "json_codec_s": json_codec_s,
-        "binary_overhead_fraction": binary_overhead / compute_s,
-    }
-    persist_result("wire_overhead", "end_to_end", payload, path=RESULTS_OVERRIDE)
     print(
         f"\nwire end-to-end (batch {BATCH}, timesteps {TIMESTEPS}): "
         f"compute {compute_s * 1e3:.1f}ms, v3 round trip {binary_s * 1e3:.1f}ms "
@@ -173,7 +148,7 @@ def test_bench_wire_end_to_end_overhead(wire_workload, persist_result):
         f"JSON codec round trip {json_codec_s * 1e3:.1f}ms"
     )
 
-    if (os.cpu_count() or 1) < 2:
+    if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("wire overhead thresholds need >= 2 cores (client vs server)")
     under_fraction = binary_overhead < OVERHEAD_COMPUTE_FRACTION * compute_s
     beats_json = binary_overhead * CODEC_SPEEDUP_FLOOR <= json_codec_s

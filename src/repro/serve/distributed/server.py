@@ -235,12 +235,9 @@ class ChipServer:
     workload:
         Human-readable workload name reported by the ``info`` op.
     max_batch:
-        Most requests one dynamic batch may coalesce (>= 1).
-    batch_window_s:
-        Extra seconds the dispatcher lingers for more compatible requests
-        once the queue runs dry before dispatching a non-full batch.  The
-        default 0 only coalesces what is already queued — batching under
-        concurrency, zero added latency when idle.
+        Most requests one dynamic batch may coalesce (>= 1).  Only what is
+        already queued coalesces — batching under concurrency, zero added
+        latency when idle.
     max_queue:
         Most ``infer`` requests that may wait for dispatch at once (0 =
         unbounded, the historical behaviour).  With a bound, overload
@@ -271,7 +268,6 @@ class ChipServer:
         port: int = 0,
         workload: str = "custom",
         max_batch: int = 8,
-        batch_window_s: float = 0.0,
         max_queue: int = 0,
         shed_policy: str = "reject",
         replica_id: str | None = None,
@@ -280,8 +276,6 @@ class ChipServer:
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if batch_window_s < 0:
-            raise ValueError(f"batch_window_s must be >= 0, got {batch_window_s}")
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
         if shed_policy not in SHED_POLICIES:
@@ -291,7 +285,6 @@ class ChipServer:
         self.target = target
         self.workload = workload
         self.max_batch = max_batch
-        self.batch_window_s = batch_window_s
         self.max_queue = max_queue
         self.shed_policy = shed_policy
         #: Unix timestamp of server construction (the socket binds here, so
@@ -858,14 +851,6 @@ class ChipServer:
             with contextlib.suppress(asyncio.QueueEmpty):
                 while True:
                     pending.append(self._queue.get_nowait())
-            if (
-                self.batch_window_s > 0
-                and len(pending) < self.max_batch
-            ):
-                with contextlib.suppress(asyncio.TimeoutError, TimeoutError):
-                    pending.append(
-                        await asyncio.wait_for(self._queue.get(), self.batch_window_s)
-                    )
             # Sweep out dead (cancelled) and expired requests, then coalesce
             # the first live request with every compatible follower (FIFO
             # order preserved for the rest).

@@ -14,7 +14,7 @@ Three ideas, kept deliberately small:
 * **Phase spans** (:mod:`repro.serve.metrics.trace`) — per-request
   ``queue_wait``/``dispatch``/``compute``/``merge`` timings ride the
   response ``metadata`` dict on the existing request-id plumbing, so any
-  client (and the load lab) can read where a request's wall time went.
+  client can read where a request's wall time went.
 
 The registry is thread-safe and has zero third-party dependencies; the
 Prometheus rendering is plain text-format 0.0.4.
