@@ -186,6 +186,9 @@ class _PipelinedConnection:
         self.host = host
         self.port = port
         self._socket = socket.create_connection((host, port), timeout=timeout)
+        # Requests go out back to back: Nagle would hold one until the
+        # server acknowledges the previous one.
+        self._socket.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._file = self._socket.makefile("rwb")
         # The timeout above governs connection establishment only.  The
         # reader must block indefinitely between replies: a pipelined

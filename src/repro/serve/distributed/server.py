@@ -31,7 +31,8 @@ single server-wide queue; a dispatcher coroutine drains the queue and
 dispatch.  Responses are split back per request by the pool, exactly
 (shard-stable encoding means coalescing changes throughput, never
 numbers).  Chip work runs on a one-thread executor so the event loop stays
-responsive while the chips crunch.
+responsive while the chips crunch; the frame codec runs on the loop itself
+(decoding is zero-copy), so that hand-off is a request's only thread hop.
 
 The queue is also the server's **admission-control plane**: ``max_queue``
 bounds how many requests may wait at once and ``shed_policy`` decides
@@ -129,25 +130,6 @@ class ServeRejection(Exception):
     def __init__(self, message: str, code: str):
         super().__init__(message)
         self.code = code
-
-
-#: Frames larger than this are decoded off the event loop, so one large
-#: request never stalls the other connections while it is decoded.
-_OFFLOAD_PARSE_BYTES = 64 * 1024
-
-
-def _encode_reply_frame(reply: dict[str, object]) -> bytes:
-    """Serialise one reply envelope to a binary frame (runs off-loop).
-
-    No shared encode buffer here: the asyncio transport may hold the bytes
-    past the write call, so every reply frame owns its storage.
-    """
-    return encode_frame(reply)
-
-
-def _decode_frame_message(meta: bytes, payload: bytes) -> dict[str, object]:
-    """Decode + validate one frame's envelope (runs off-loop when large)."""
-    return validate_envelope(decode_frame_payload(meta, payload))
 
 
 @dataclass
@@ -712,11 +694,7 @@ class ChipServer:
                     raise ValueError('infer needs a "request" object payload')
                 deadline_s = self._parse_deadline(message)
                 assert self._loop is not None and self._queue is not None
-                # Schema decode/encode of a large batch is real CPU work;
-                # run it off-loop so other connections stay responsive.
-                request = await self._loop.run_in_executor(
-                    None, InferenceRequest.from_dict, payload
-                )
+                request = InferenceRequest.from_dict(payload)
                 future = self._loop.create_future()
                 deadline = (
                     None if deadline_s is None else self._loop.time() + deadline_s
@@ -976,14 +954,7 @@ class ChipServer:
         meta = await reader.readexactly(meta_len)
         payload = await reader.readexactly(payload_len)
         try:
-            if meta_len + payload_len > _OFFLOAD_PARSE_BYTES:
-                # Decoding megabytes inline would stall every other
-                # connection; push it to the default executor.
-                message = await asyncio.get_running_loop().run_in_executor(
-                    None, _decode_frame_message, meta, payload
-                )
-            else:
-                message = _decode_frame_message(meta, payload)
+            message = validate_envelope(decode_frame_payload(meta, payload))
         except ValueError as exc:
             # The frame was well-delimited (lengths were honoured), so the
             # stream stays in sync: answer with a structured error and keep
@@ -1066,11 +1037,9 @@ class ChipServer:
             else:
                 assert message is not None
                 reply = await self._execute(message, conn_pending)
-            assert self._loop is not None
-            data = await self._loop.run_in_executor(None, _encode_reply_frame, reply)
             try:
                 async with write_lock:
-                    writer.write(data)
+                    writer.write(encode_frame(reply))
                     await writer.drain()
             finally:
                 if op == "shutdown" and self._stop_event is not None:
@@ -1084,6 +1053,13 @@ class ChipServer:
                     self._maybe_finish_drain()
 
         try:
+            # asyncio disables Nagle only on sockets whose proto is
+            # IPPROTO_TCP; socket.create_server binds with proto 0, which
+            # accepted sockets inherit.  With Nagle on, a reply written while
+            # the previous one is unacknowledged waits for the client's ACK.
+            writer.get_extra_info("socket").setsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
+            )
             while True:
                 message, error, fatal = await self._read_frame(reader)
                 if fatal:
@@ -1091,7 +1067,7 @@ class ChipServer:
                     text, op, request_id = error
                     reply = error_envelope(text, op=op, request_id=request_id)
                     async with write_lock:
-                        writer.write(_encode_reply_frame(reply))
+                        writer.write(encode_frame(reply))
                         await writer.drain()
                     break
                 msg_op = None if message is None else message.get("op")

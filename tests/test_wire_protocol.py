@@ -17,7 +17,9 @@ The serving stack has one wire carrier: length-prefixed binary frames
   :class:`~repro.serve.retry.RetryBudget` (the request's own, else a
   one-resend default) and end in ``RetryBudgetExhausted``;
 * bounded metadata reads, IPv6 endpoint parsing, and ``infer_many``
-  cancelling outstanding work on failure.
+  cancelling outstanding work on failure;
+* the transport: Nagle is off on both ends of a connection, and the frame
+  codec runs on the server's event loop, never on its default executor.
 """
 
 from __future__ import annotations
@@ -367,6 +369,73 @@ class TestFrameErrors:
             assert remote.ping(timeout=30)
             request = InferenceRequest(inputs=inputs[:2])
             assert remote.submit(request).result(timeout=30).batch_size == 2
+
+
+# -- the transport ------------------------------------------------------------------
+
+
+def _nodelay(sock) -> int:
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+class TestTransport:
+    def test_nagle_is_off_on_both_ends(self, workload):
+        snn, config, _, _ = workload
+        session = ChipSession(snn, config=config, timesteps=5, seed=17)
+        accepted = []
+        with ChipServer(session, port=0) as served:
+            handle_client = served._handle_client
+
+            async def spy(reader, writer):
+                accepted.append(writer.get_extra_info("socket"))
+                await handle_client(reader, writer)
+
+            served._handle_client = spy
+            served.start()
+            with PipelinedSession(*served.address, connections=1) as remote:
+                # The reply proves the server is past its connection set-up.
+                assert remote.ping(timeout=30)
+                assert _nodelay(remote._connections[0]._socket) != 0
+                assert len(accepted) == 1
+                assert _nodelay(accepted[0]) != 0
+
+    def test_codec_stays_on_the_loop(self, workload, single_session, frame_io):
+        snn, config, inputs, labels = workload
+        session = ChipSession(snn, config=config, timesteps=5, encoder="poisson", seed=17)
+        one = InferenceRequest(inputs=inputs[:1], labels=labels[:1])
+        large = InferenceRequest(inputs=np.random.default_rng(8).random((176, 48)))
+        frames = {
+            op: encode_frame(request_envelope(op, request_id=op))
+            for op in ("ping", "info", "metrics")
+        }
+        for name, request in (("one", one), ("large", large)):
+            frames[name] = encode_frame(
+                request_envelope("infer", request_id=name, request=request.to_wire_dict())
+            )
+        assert len(frames["large"]) > 64 * 1024
+        frames["corrupt"] = struct.pack("<4sIQ", FRAME_MAGIC, 16, 0) + b"this is not json"
+        replies = {}
+        with ChipServer(session, port=0, workload="on-loop").start() as served:
+            with socket.create_connection(served.address, timeout=30) as raw:
+                stream = raw.makefile("rwb")
+                for name, frame in frames.items():
+                    stream.write(frame)
+                    stream.flush()
+                    replies[name] = frame_io.read(stream)
+            # Every reply is written, so any default-executor hop has run.
+            assert served._loop._default_executor is None
+        assert replies["ping"]["pong"] is True
+        assert replies["info"]["info"]["workload"] == "on-loop"
+        assert "repro_server_requests_total" in replies["metrics"]["metrics"]["text"]
+        for name, request in (("one", one), ("large", large)):
+            assert replies[name]["ok"] is True and replies[name]["id"] == name
+            _assert_identical(
+                single_session.infer(request),
+                InferenceResponse.from_dict(replies[name]["response"]),
+            )
+        assert replies["corrupt"]["ok"] is False
+        assert "metadata" in replies["corrupt"]["error"]
+        assert replies["corrupt"].get("id") is None
 
 
 # -- one retry path -----------------------------------------------------------------
