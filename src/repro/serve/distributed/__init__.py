@@ -54,7 +54,6 @@ from repro.serve.distributed.executors import (
 )
 from repro.serve.distributed.gateway import GatewayEndpoint, InferenceGateway
 from repro.serve.distributed.server import (
-    SHED_POLICIES,
     ChipServer,
     ServeRejection,
     ServingWorkload,
@@ -63,7 +62,6 @@ from repro.serve.distributed.server import (
 
 __all__ = [
     "EXECUTORS",
-    "SHED_POLICIES",
     "CancellableFuture",
     "ChipServer",
     "GatewayEndpoint",

@@ -45,11 +45,7 @@ from repro.serve.distributed.client import (
     RemoteServerError,
     parse_endpoint,
 )
-from repro.serve.distributed.server import (
-    SHED_POLICIES,
-    ChipServer,
-    load_benchmark_workload,
-)
+from repro.serve.distributed.server import ChipServer, load_benchmark_workload
 from repro.serve.distributed.gateway import GatewayEndpoint, InferenceGateway
 from repro.serve.pool import ChipPool
 from repro.serve.retry import RetryBudget
@@ -118,14 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="most infer requests that may wait for dispatch at once "
-        "(0 = unbounded); the load-shedding bound",
-    )
-    serve.add_argument(
-        "--shed-policy",
-        default="reject",
-        choices=sorted(SHED_POLICIES),
-        help="what a full queue does to new requests: reject with a "
-        "structured 'overloaded' error, or block admission until space frees",
+        "(0 = unbounded); a full queue sheds new requests with a structured "
+        "'overloaded' error",
     )
     serve.add_argument(
         "--metrics-port",
@@ -256,15 +246,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workload=args.workload,
             max_batch=args.max_batch,
             max_queue=args.max_queue,
-            shed_policy=args.shed_policy,
             metrics_port=args.metrics_port,
         ) as server:
             host, port = server.address
             print(
                 f"chip-server: {args.workload} ({args.backend}, jobs={args.jobs}, "
                 f"max_batch={args.max_batch}, "
-                f"max_queue={args.max_queue or 'unbounded'}, "
-                f"shed_policy={args.shed_policy}) "
+                f"max_queue={args.max_queue or 'unbounded'}) "
                 f"listening on {host}:{port}",
                 flush=True,
             )
@@ -577,8 +565,7 @@ def _smoke_load_shedding(args: argparse.Namespace) -> None:
             print(
                 f"smoke: shed-drive server protocol v{info['protocol_version']}, "
                 f"started at {info['started_at']:.0f} "
-                f"(uptime {info['uptime_s']:.2f}s), max_queue={info['max_queue']}, "
-                f"shed_policy={info['shed_policy']}",
+                f"(uptime {info['uptime_s']:.2f}s), max_queue={info['max_queue']}",
                 flush=True,
             )
             future_head = client.submit(head)

@@ -25,18 +25,17 @@ between hops; exhaustion surfaces as a structured
 propagate to every endpoint whose ``submit`` takes one.
 
 The gateway also mitigates *stragglers*: with hedging enabled
-(``hedge_after_s`` and/or ``hedge_percentile``), a shard whose wait exceeds
-the straggler threshold is **hedged** — duplicated to the least-loaded
-serving sibling.  The first attempt to finish wins the shard; the loser is
-cancelled best-effort (over the wire via the ``cancel`` op, tagged
-``reason="hedge"``, when the endpoint hands out cancellable futures), and a
-losing attempt that still completes is counted as wasted compute.  Hedging
-is exact for the same reason shed-retry is: shards are deterministic,
-idempotent functions of their absolute sample range, so whichever attempt
-wins returns bit-identical numbers.  A hedge never fires past the request
-deadline, and a failed hedge cancel never fails the request.  Because every
-shard carries its absolute ``sample_offset`` and every endpoint derives
-spike trains from the same shard-stable
+(``hedge_after_s``), a shard whose wait exceeds the straggler threshold is
+**hedged** — duplicated to the least-loaded sibling.  The first attempt to
+finish wins the shard; the loser is cancelled best-effort (over the wire via
+the ``cancel`` op, tagged ``reason="hedge"``, when the endpoint hands out
+cancellable futures), and a losing attempt that still completes is counted
+as wasted compute.  Hedging is exact for the same reason shed-retry is:
+shards are deterministic, idempotent functions of their absolute sample
+range, so whichever attempt wins returns bit-identical numbers.  A hedge
+never fires past the request deadline, and a failed hedge cancel never fails
+the request.  Because every shard carries its absolute ``sample_offset`` and
+every endpoint derives spike trains from the same shard-stable
 :class:`~repro.snn.encoding.EncoderState` seeding, the merged response is
 result-identical to running the whole batch on any single endpoint — any
 placement the load feedback picks yields the same numbers — provided the
@@ -54,19 +53,9 @@ endpoint serving one shard at a time (endpoints own their internal
 concurrency), so successive batches pipeline across endpoints instead of
 running lock-step.
 
-Membership is **dynamic**: :meth:`InferenceGateway.add_endpoint`,
-:meth:`~InferenceGateway.drain_endpoint` and
-:meth:`~InferenceGateway.remove_endpoint` change the endpoint set while
-batches are in flight.  A shard plan holds direct references to its
-endpoints, so a shard already dispatched always completes against the
-endpoint it was sent to; the next ``submit()`` sees the updated membership.
-A shard still *queued* in the gateway's dispatch pool when the membership
-changes is re-placed as it dispatches (adaptive gateways only): it goes to
-the serving endpoint with the most spare capacity, judged by the shards
-already dispatched to each, so a replica that joins mid-burst takes part of
-the backlog queued before it existed.  Draining endpoints are skipped by
-the planner (and by shed-retry) but keep serving the shards already
-dispatched to them, so a replica can be retired without failing work.
+The endpoint set is fixed at construction.  A shard that races a server
+drain gets the structured ``draining`` error and is retried on a sibling
+like any other shed shard.
 
 The merge is exact: predictions and spike counts concatenate per-sample,
 event counters sum, and the energy report is the component-wise sum of the
@@ -82,7 +71,6 @@ import contextlib
 import inspect
 import threading
 import time
-from collections import deque
 from concurrent.futures import (
     CancelledError,
     Future,
@@ -121,18 +109,14 @@ LOAD_POLL_TIMEOUT_S = 1.0
 #: sibling endpoint (the server refused the work without starting it).
 _SHED_RETRY_CODES = frozenset({ERROR_OVERLOADED, ERROR_DRAINING})
 
-#: Rolling window of observed shard latencies feeding the adaptive
-#: (percentile-derived) straggler threshold.
-_HEDGE_LATENCY_WINDOW = 128
-
-#: Minimum observations before the percentile threshold is trusted; until
-#: then a percentile-only gateway does not hedge (and a fixed
-#: ``hedge_after_s`` keeps working on its own).
-_HEDGE_MIN_SAMPLES = 8
-
 #: Floor on any hedge threshold: hedging sub-millisecond "stragglers" would
 #: duplicate nearly every shard.
 _HEDGE_FLOOR_S = 1e-3
+
+#: Backoff of the default per-request retry budget (first hop sleeps about
+#: the base, doubling per retry up to the cap, jittered ±50%).
+_RETRY_BACKOFF_BASE_S = 0.02
+_RETRY_BACKOFF_CAP_S = 0.5
 
 
 @dataclass
@@ -160,15 +144,8 @@ class GatewayEndpoint:
     #: Gateway shards planned onto this endpoint and not yet finished
     #: (queued behind the endpoint lock, executing, or mid-retry).
     inflight: int = field(default=0, init=False, repr=False, compare=False)
-    #: Attempts handed to this endpoint and not yet returned (waiting on
-    #: ``lock`` or executing) — ``inflight`` minus the shards still queued
-    #: in the gateway's dispatch pool.
-    dispatched: int = field(default=0, init=False, repr=False, compare=False)
     #: Last polled remote backlog (server queue depth + inflight).
     load_hint: float = field(default=0.0, init=False, repr=False, compare=False)
-    #: Draining (graceful retirement): the planner and shed-retry skip this
-    #: endpoint, but shards already dispatched to it run to completion.
-    draining: bool = field(default=False, init=False, repr=False, compare=False)
     #: Whether ``target.submit`` exists (pipelined remotes): hedged dispatch
     #: then gets a cancellable future, so losing attempts can be revoked on
     #: the server instead of computing an orphaned answer.
@@ -226,9 +203,6 @@ class _ShardPlan:
     hedged_from: str | None = None
     #: Shed retries this shard consumed from the request's budget.
     retries: int = 0
-    #: Membership epoch the plan was made against (see
-    #: :meth:`_ShardRun._replace_if_membership_changed`).
-    epoch: int = 0
 
 
 class _MergeState:
@@ -509,8 +483,6 @@ class _ShardRun:
         if already_won:  # lost before ever starting (pool queue)
             self._attempt_cancelled(attempt)
             return
-        if not attempt.hedge:
-            self._replace_if_membership_changed(attempt)
         while True:
             try:
                 response = self.gateway._infer_on_attempt(
@@ -536,48 +508,6 @@ class _ShardRun:
                 return
             self._attempt_finished(attempt, response)
             return
-
-    def _replace_if_membership_changed(self, attempt: _ShardAttempt) -> None:
-        """Re-place a primary attempt whose plan predates a membership change.
-
-        Under a burst a shard can wait in the dispatch pool for longer than
-        a replica takes to join or drain.  When the membership changed since
-        planning, the attempt goes to the serving endpoint with the most
-        spare capacity *now*, judged by the attempts already dispatched to
-        each endpoint rather than by ``inflight``: the shards still queued
-        and bound to an endpoint are exactly the ones that may move.  The
-        planned endpoint keeps the shard on ties, a non-adaptive gateway
-        keeps its static plan, a shard already hedged stays put (its
-        duplicate took the least-loaded sibling), and a fleet with nothing
-        serving keeps the plan (the endpoint's own refusal then surfaces).
-        """
-        gateway = self.gateway
-        # An unchanged epoch (the common case) costs one attribute read.
-        if not gateway.adaptive or self.shard.epoch == gateway._membership_epoch:
-            return
-        with self.lock:
-            if self.hedged:
-                return
-        endpoints = gateway._serving_endpoints()
-        if not endpoints:
-            return
-        planned = attempt.endpoint
-
-        def spare(endpoint: GatewayEndpoint) -> float:
-            return endpoint.capacity / (
-                1.0 + endpoint.dispatched + endpoint.load_hint
-            )
-
-        with gateway._load_lock:
-            # max() keeps the earliest endpoint on full ties.
-            best = max(endpoints, key=spare)
-            if any(e is planned for e in endpoints) and spare(planned) >= spare(best):
-                return
-            planned.inflight -= 1
-            best.inflight += 1
-        with self.lock:
-            attempt.endpoint = best
-            self.shard.endpoint = best
 
     def _shed_retry(
         self, attempt: _ShardAttempt, exc: RemoteServerError
@@ -627,8 +557,6 @@ class _ShardRun:
     def _attempt_finished(
         self, attempt: _ShardAttempt, response: InferenceResponse
     ) -> None:
-        if attempt.started is not None:
-            self.gateway._observe_shard_latency(time.monotonic() - attempt.started)
         self._end_attempt(attempt)
         with self.lock:
             if self.winner is not None:
@@ -698,35 +626,21 @@ class InferenceGateway:
     load_poll_s:
         Interval of the background load refresher (seconds).  The refresher
         thread polls every endpoint's backlog on this cadence and caches
-        the hints; ``submit()`` only ever reads the cache.  Only pipelined
-        remotes (thread-safe ``info``, live ``queue_depth`` / ``inflight``
-        fields) are polled, each poll bounded by
-        :data:`LOAD_POLL_TIMEOUT_S`; other targets may export a ``load()``
-        method returning their backlog from local state, and everything
-        else contributes only the gateway's own planned-shard count.
-        :meth:`refresh_load_hints` forces one synchronous sweep (what the
-        refresher runs; handy in tests and controllers).
+        the hints; ``submit()`` only ever reads the cache.  Only targets
+        with an ``info`` op (a pipelined remote's live ``queue_depth`` /
+        ``inflight``) are polled, each poll bounded by
+        :data:`LOAD_POLL_TIMEOUT_S`; everything else contributes only the
+        gateway's own planned-shard count.  :meth:`refresh_load_hints`
+        forces one synchronous sweep.
     hedge_after_s:
-        Fixed straggler threshold: a shard still unfinished after this many
-        seconds is duplicated onto the least-loaded serving sibling; the
-        first attempt to finish wins, the loser is cancelled best-effort.
-        ``None`` (default) disables the fixed threshold.
-    hedge_percentile:
-        Adaptive straggler threshold: hedge once a shard's wait exceeds
-        this percentile of the last :data:`_HEDGE_LATENCY_WINDOW` observed
-        shard latencies (needs :data:`_HEDGE_MIN_SAMPLES` observations;
-        combined with ``hedge_after_s`` the *larger* of the two wins, so a
-        fixed knob acts as a floor under a twitchy percentile).  ``None``
-        (default) disables.  Hedging is off only when both are ``None``.
-    retry_attempts:
-        Shed/``draining`` retries per *planned shard* folded into the
-        default per-request :class:`RetryBudget` (pooled across the whole
-        request) when the request does not carry its own budget.  The
-        default of 1 preserves the historical single-hop allowance — now
-        with jittered backoff between hops.
-    retry_backoff_base_s / retry_backoff_cap_s:
-        Backoff policy of that default budget (first hop sleeps about
-        ``base``, doubling per retry up to ``cap``, jittered ±50%).
+        Straggler threshold: a shard still unfinished after this many
+        seconds is duplicated onto the least-loaded sibling; the first
+        attempt to finish wins, the loser is cancelled best-effort.
+        ``None`` (default) disables hedging.
+
+    A request without its own :class:`RetryBudget` gets a default one per
+    request: ``1 + shards`` attempts, pooled across the whole request, with
+    jittered backoff between hops.
     """
 
     def __init__(
@@ -738,10 +652,6 @@ class InferenceGateway:
         load_poll_s: float = 0.25,
         registry: MetricsRegistry | None = None,
         hedge_after_s: float | None = None,
-        hedge_percentile: float | None = None,
-        retry_attempts: int = 1,
-        retry_backoff_base_s: float = 0.02,
-        retry_backoff_cap_s: float = 0.5,
     ):
         if not endpoints:
             raise ValueError("gateway needs at least one endpoint")
@@ -749,20 +659,10 @@ class InferenceGateway:
             raise ValueError(f"load_poll_s must be >= 0, got {load_poll_s}")
         if hedge_after_s is not None and hedge_after_s <= 0:
             raise ValueError(f"hedge_after_s must be > 0, got {hedge_after_s}")
-        if hedge_percentile is not None and not 0 < hedge_percentile < 100:
-            raise ValueError(
-                f"hedge_percentile must be in (0, 100), got {hedge_percentile}"
-            )
-        if retry_attempts < 0:
-            raise ValueError(f"retry_attempts must be >= 0, got {retry_attempts}")
         self.name = name
         self.adaptive = adaptive
         self.load_poll_s = load_poll_s
         self.hedge_after_s = hedge_after_s
-        self.hedge_percentile = hedge_percentile
-        self.retry_attempts = int(retry_attempts)
-        self.retry_backoff_base_s = float(retry_backoff_base_s)
-        self.retry_backoff_cap_s = float(retry_backoff_cap_s)
         self.metrics = registry if registry is not None else get_default_registry()
         self._m_requests = self.metrics.counter(
             "repro_gateway_requests_total", "batches submitted"
@@ -792,8 +692,8 @@ class InferenceGateway:
         self._m_merge = self.metrics.histogram(
             "repro_gateway_merge_seconds", "shard merge wall per request"
         )
-        # Plain-int mirrors of the tail counters: load-bearing (controller
-        # signals, tests, benches) even when the metrics registry is the
+        # Plain-int mirrors of the tail counters: load-bearing (tests,
+        # benches, the smoke) even when the metrics registry is the
         # process-wide disabled default.  Guarded by _load_lock.
         self._tail = {
             "hedges_issued": 0,
@@ -802,18 +702,10 @@ class InferenceGateway:
             "retries": 0,
             "budget_exhausted": 0,
         }
-        #: Rolling observed shard latencies feeding hedge_percentile.
-        self._shard_latencies: deque[float] = deque(maxlen=_HEDGE_LATENCY_WINDOW)
         self._endpoints = [
             e if isinstance(e, GatewayEndpoint) else GatewayEndpoint(target=e)
             for e in endpoints
         ]
-        # Guards membership changes (add/remove/drain) against concurrent
-        # planners; planners work on snapshots, so holding it is brief.
-        self._membership_lock = threading.Lock()
-        # Bumped by every membership change; a queued shard planned under an
-        # older epoch is re-placed when it dispatches.
-        self._membership_epoch = 0
         # Guards the per-endpoint inflight counters and load hints (the
         # endpoint `lock` is held for whole inferences — too coarse here).
         self._load_lock = threading.Lock()
@@ -860,80 +752,10 @@ class InferenceGateway:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # -- membership ---------------------------------------------------------------
-
     @property
     def endpoints(self) -> list[GatewayEndpoint]:
-        """Snapshot of the current membership (copy; mutation-safe)."""
-        with self._membership_lock:
-            return list(self._endpoints)
-
-    def add_endpoint(
-        self,
-        target: GatewayEndpoint | object,
-        *,
-        capacity: float | None = None,
-        name: str | None = None,
-    ) -> GatewayEndpoint:
-        """Join an endpoint; the next ``submit()`` can use it.
-
-        Shards already dispatched are untouched; shards still queued in
-        the dispatch pool may move to it as they dispatch (see
-        :meth:`_ShardRun._replace_if_membership_changed`).  Endpoint names
-        must be unique — they are what :meth:`drain_endpoint` /
-        :meth:`remove_endpoint` address.
-        """
-        endpoint = (
-            target
-            if isinstance(target, GatewayEndpoint)
-            else GatewayEndpoint(target=target, capacity=capacity, name=name or "")
-        )
-        with self._membership_lock:
-            if self._closed:
-                raise RuntimeError("gateway is closed")
-            if any(e.name == endpoint.name for e in self._endpoints):
-                raise ValueError(
-                    f"gateway already has an endpoint named {endpoint.name!r}"
-                )
-            self._endpoints.append(endpoint)
-            self._membership_epoch += 1
-            # Keep ~2 dispatch threads available per endpoint.  stdlib pools
-            # have no public resize; raising the cap is how they grow (the
-            # attribute is stable across supported CPythons).
-            self._threads._max_workers = max(
-                self._threads._max_workers, 4, 2 * len(self._endpoints)
-            )
-        return endpoint
-
-    def drain_endpoint(self, name: str) -> GatewayEndpoint:
-        """Stop planning new shards onto ``name`` (in-flight work finishes).
-
-        The retirement handshake: drain here first, then drain the server
-        (it answers everything already admitted), then
-        :meth:`remove_endpoint` once it exits.
-        """
-        with self._membership_lock:
-            for endpoint in self._endpoints:
-                if endpoint.name == name:
-                    endpoint.draining = True
-                    self._membership_epoch += 1
-                    return endpoint
-        raise KeyError(f"gateway has no endpoint named {name!r}")
-
-    def remove_endpoint(self, name: str) -> GatewayEndpoint:
-        """Remove an endpoint.  In-flight plans still complete against it."""
-        with self._membership_lock:
-            for index, endpoint in enumerate(self._endpoints):
-                if endpoint.name == name:
-                    del self._endpoints[index]
-                    self._membership_epoch += 1
-                    return endpoint
-        raise KeyError(f"gateway has no endpoint named {name!r}")
-
-    def _serving_endpoints(self) -> list[GatewayEndpoint]:
-        """Endpoints new shards may be planned onto (non-draining)."""
-        with self._membership_lock:
-            return [e for e in self._endpoints if not e.draining]
+        """The endpoints, fixed at construction (a copy)."""
+        return list(self._endpoints)
 
     # -- load tracking ------------------------------------------------------------
 
@@ -945,7 +767,7 @@ class InferenceGateway:
             self.refresh_load_hints()
 
     def refresh_load_hints(self) -> None:
-        """One synchronous backlog sweep over the current membership.
+        """One synchronous backlog sweep over the endpoints.
 
         This is the refresher thread's body, exposed so tests can force a
         fresh sample instead of waiting out the poll interval.  ``submit()``
@@ -957,23 +779,15 @@ class InferenceGateway:
     def _poll_backlog(self, endpoint: GatewayEndpoint) -> float:
         """Refresh and return the endpoint's remote backlog hint.
 
-        Two duck-typed sources, both optional: a ``load()`` method on the
-        target (a local-state read), else an ``info`` poll (a pipelined
-        remote answers it alongside in-flight shards on the same
-        connections).  The info poll is bounded by :data:`LOAD_POLL_TIMEOUT_S`
-        so one wedged endpoint cannot starve its siblings' refresh.  Poll
-        failures (including timeouts) keep the previous hint: a dying
-        endpoint's shard will fail loudly on its own.
+        The source is an optional ``info`` poll (a pipelined remote answers
+        it alongside in-flight shards on the same connections), bounded by
+        :data:`LOAD_POLL_TIMEOUT_S` so one wedged endpoint cannot starve its
+        siblings' refresh.  Poll failures (including timeouts) keep the
+        previous hint: a dying endpoint's shard will fail loudly on its own.
         """
         target = endpoint.target
         hint: float | None = None
-        loader = getattr(target, "load", None)
-        if callable(loader):
-            try:
-                hint = float(loader())
-            except Exception:  # noqa: BLE001 - load probes must never fail a plan
-                hint = None
-        elif callable(getattr(target, "info", None)):
+        if callable(getattr(target, "info", None)):
             try:
                 info = target.info(refresh=True, timeout=LOAD_POLL_TIMEOUT_S)
                 hint = float(info.get("queue_depth", 0)) + float(
@@ -999,17 +813,15 @@ class InferenceGateway:
         """Per-endpoint load snapshot (cached; safe to call from anywhere).
 
         The gateway-side planned-shard count, the refresher's last server
-        hint, the draining flag and the hedges issued against each endpoint.
+        hint and the hedges issued against each endpoint.
         """
-        snapshot = self.endpoints
         loads: dict[str, dict[str, object]] = {}
         with self._load_lock:
-            for endpoint in snapshot:
+            for endpoint in self._endpoints:
                 loads[endpoint.name] = {
                     "backlog": float(endpoint.inflight) + float(endpoint.load_hint),
                     "inflight": int(endpoint.inflight),
                     "load_hint": float(endpoint.load_hint),
-                    "draining": bool(endpoint.draining),
                     "hedges": int(endpoint.hedges),
                 }
         return loads
@@ -1024,8 +836,8 @@ class InferenceGateway:
 
     @property
     def total_capacity(self) -> float:
-        """Sum of the static capacities of the serving (non-draining) endpoints."""
-        return float(sum(e.capacity for e in self._serving_endpoints()))
+        """Sum of the endpoints' static capacities."""
+        return float(sum(e.capacity for e in self._endpoints))
 
     def shard_plan(self, batch: int) -> list[_ShardPlan]:
         """Load-aware contiguous shards covering ``[0, batch)`` exactly.
@@ -1036,19 +848,10 @@ class InferenceGateway:
         Cumulative rounding keeps the boundaries monotone and the final
         boundary equal to ``batch``; endpoints whose rounded share is empty
         (small batches, heavy backlog) are skipped rather than sent
-        degenerate requests.  Draining endpoints never appear in a new
-        plan.  A single-endpoint plan degenerates to one whole-batch shard
-        — no splitting, just the dispatch/merge envelope.
+        degenerate requests.  A single-endpoint plan degenerates to one
+        whole-batch shard — no splitting, just the dispatch/merge envelope.
         """
-        # Read before the snapshot: a change in between only makes the
-        # shards re-check their placement when they dispatch.
-        epoch = self._membership_epoch
-        endpoints = self._serving_endpoints()
-        if not endpoints:
-            raise RuntimeError(
-                f"gateway {self.name!r} has no serving endpoints (every "
-                f"endpoint was removed or is draining)"
-            )
+        endpoints = self._endpoints
         if len(endpoints) == 1:
             weights = [1.0]
         else:
@@ -1061,9 +864,7 @@ class InferenceGateway:
             cumulative += weight
             stop = round(batch * cumulative / total)
             if stop > start:
-                plan.append(
-                    _ShardPlan(endpoint=endpoint, start=start, stop=stop, epoch=epoch)
-                )
+                plan.append(_ShardPlan(endpoint=endpoint, start=start, stop=stop))
                 start = stop
         return plan
 
@@ -1080,36 +881,14 @@ class InferenceGateway:
         with self._load_lock:
             return dict(self._tail)
 
-    def _observe_shard_latency(self, seconds: float) -> None:
-        with self._load_lock:
-            self._shard_latencies.append(float(seconds))
-
     def hedge_threshold(self) -> float | None:
-        """Current straggler threshold in seconds, or None when not hedging.
+        """Straggler threshold in seconds, or None when not hedging.
 
-        The percentile-derived threshold needs :data:`_HEDGE_MIN_SAMPLES`
-        observed shard latencies; before that (or with ``hedge_percentile``
-        unset) the fixed ``hedge_after_s`` stands alone.  When both apply,
-        the larger wins, and every threshold is floored at
-        :data:`_HEDGE_FLOOR_S`.
+        ``hedge_after_s``, floored at :data:`_HEDGE_FLOOR_S`.
         """
-        if self.hedge_after_s is None and self.hedge_percentile is None:
+        if self.hedge_after_s is None:
             return None
-        adaptive: float | None = None
-        if self.hedge_percentile is not None:
-            with self._load_lock:
-                samples = (
-                    list(self._shard_latencies)
-                    if len(self._shard_latencies) >= _HEDGE_MIN_SAMPLES
-                    else None
-                )
-            if samples is not None:
-                adaptive = float(np.percentile(samples, self.hedge_percentile))
-        if adaptive is None:
-            if self.hedge_after_s is None:
-                return None
-            return max(self.hedge_after_s, _HEDGE_FLOOR_S)
-        return max(adaptive, self.hedge_after_s or 0.0, _HEDGE_FLOOR_S)
+        return max(self.hedge_after_s, _HEDGE_FLOOR_S)
 
     # -- inference ----------------------------------------------------------------
 
@@ -1123,33 +902,26 @@ class InferenceGateway:
         # concurrency (pools shard further, pipelined remotes pipeline),
         # and most targets' infer() is not reentrant.  The inflight counter
         # is maintained by plan-time accounting and the attempt lifecycle,
-        # not here, so queued-but-unstarted shards count too; ``dispatched``
-        # counts only the attempts that reached this point.
+        # not here, so queued-but-unstarted shards count too.
         endpoint = attempt.endpoint
-        with self._load_lock:
-            endpoint.dispatched += 1
-        try:
-            with endpoint.lock:
-                if endpoint.supports_submit:
-                    # Dispatch through submit() so the in-flight work has a
-                    # cancellable handle: if this attempt loses a hedge race,
-                    # cancel() revokes it (frees the server queue slot) and
-                    # unblocks this worker with CancelledError.
-                    if deadline_s is not None and endpoint.submit_supports_deadline:
-                        future = endpoint.target.submit(
-                            sub_request, deadline_s=deadline_s
-                        )
-                    else:
-                        future = endpoint.target.submit(sub_request)
-                    attempt.wire_future = future
-                    try:
-                        return future.result()
-                    finally:
-                        attempt.wire_future = None
-                return endpoint.target.infer(sub_request)
-        finally:
-            with self._load_lock:
-                endpoint.dispatched -= 1
+        with endpoint.lock:
+            if endpoint.supports_submit:
+                # Dispatch through submit() so the in-flight work has a
+                # cancellable handle: if this attempt loses a hedge race,
+                # cancel() revokes it (frees the server queue slot) and
+                # unblocks this worker with CancelledError.
+                if deadline_s is not None and endpoint.submit_supports_deadline:
+                    future = endpoint.target.submit(
+                        sub_request, deadline_s=deadline_s
+                    )
+                else:
+                    future = endpoint.target.submit(sub_request)
+                attempt.wire_future = future
+                try:
+                    return future.result()
+                finally:
+                    attempt.wire_future = None
+            return endpoint.target.infer(sub_request)
 
     def _cancel_attempt(self, attempt: _ShardAttempt) -> bool:
         """Best-effort revocation of a losing attempt; never raises.
@@ -1177,16 +949,14 @@ class InferenceGateway:
         shed: GatewayEndpoint,
         exclude: Sequence[GatewayEndpoint] = (),
     ) -> GatewayEndpoint | None:
-        """The least-backlogged *other* serving endpoint, or None when alone.
+        """The least-backlogged *other* endpoint, or None when alone.
 
         ``exclude`` names further endpoints to avoid — a hedge must not
         land on an endpoint already attempting this very shard.
         """
         excluded = {id(e) for e in exclude}
         excluded.add(id(shed))
-        candidates = [
-            e for e in self._serving_endpoints() if id(e) not in excluded
-        ]
+        candidates = [e for e in self._endpoints if id(e) not in excluded]
         if not candidates:
             return None
         # Least backlog first; static capacity breaks ties (deterministic:
@@ -1205,8 +975,8 @@ class InferenceGateway:
         endpoint.  A shard shed by an overloaded endpoint is retried on the
         least-loaded sibling within the request's retry budget (the
         request's own :class:`RetryBudget` when it carries one, else a
-        default pooled budget of ``retry_attempts`` hops per planned
-        shard), and a straggling shard is hedged onto a sibling once its
+        default pooled budget of one hop per planned shard), and a
+        straggling shard is hedged onto a sibling once its
         wait crosses :meth:`hedge_threshold`.  ``deadline_s`` propagates to
         every endpoint whose ``submit`` accepts it (remote sessions pass it
         to the server's admission control).  Safe to call again before
@@ -1220,9 +990,9 @@ class InferenceGateway:
         budget = request.retry_budget
         if budget is None:
             budget = RetryBudget(
-                1 + self.retry_attempts * len(plan),
-                backoff_base_s=self.retry_backoff_base_s,
-                backoff_cap_s=self.retry_backoff_cap_s,
+                1 + len(plan),
+                backoff_base_s=_RETRY_BACKOFF_BASE_S,
+                backoff_cap_s=_RETRY_BACKOFF_CAP_S,
             )
             # Shards carry the shared budget so endpoint-internal retries
             # (a PipelinedSession resubmitting after a dead connection)

@@ -35,9 +35,8 @@ responsive while the chips crunch; the frame codec runs on the loop itself
 (decoding is zero-copy), so that hand-off is a request's only thread hop.
 
 The queue is also the server's **admission-control plane**: ``max_queue``
-bounds how many requests may wait at once and ``shed_policy`` decides
-whether excess load is rejected with a structured ``overloaded`` error
-reply or blocked until space frees; per-request ``deadline_s`` expires
+bounds how many requests may wait at once, and excess load is rejected with
+a structured ``overloaded`` error reply; per-request ``deadline_s`` expires
 waiting work with ``deadline_exceeded`` (checked on every queue sweep and
 again immediately before dispatch), and the ``cancel`` op removes a
 connection's own queued request.  Live load (``queue_depth``,
@@ -103,19 +102,11 @@ from repro.snn.conversion import SpikingNetwork, convert_to_snn
 from repro.workloads import get_benchmark
 
 __all__ = [
-    "SHED_POLICIES",
     "ChipServer",
     "ServeRejection",
     "ServingWorkload",
     "load_benchmark_workload",
 ]
-
-#: Load-shedding policies a bounded server queue may apply when full:
-#: ``"reject"`` answers excess requests immediately with a structured
-#: ``overloaded`` error; ``"block"`` holds admission until space frees
-#: (backpressure propagates to the client connection).
-SHED_POLICIES = ("reject", "block")
-
 
 class ServeRejection(Exception):
     """An admission-control rejection, carried to the wire as a coded error.
@@ -194,10 +185,6 @@ class _QueuedInfer:
     #: True once the dispatcher has handed the request to the work thread;
     #: dispatched work can no longer be cancelled (dispatch wins).
     dispatched: bool = False
-    #: The admission waiter while this request blocks on a full queue
-    #: (block policy); a cancel op resolves it so the request unblocks
-    #: immediately instead of waiting out a slot it will never use.
-    waiter: asyncio.Future | None = None
 
 
 class ChipServer:
@@ -223,12 +210,9 @@ class ChipServer:
     max_queue:
         Most ``infer`` requests that may wait for dispatch at once (0 =
         unbounded, the historical behaviour).  With a bound, overload
-        degrades gracefully instead of accumulating latency without limit.
-    shed_policy:
-        What happens to an ``infer`` arriving at a full queue: ``"reject"``
-        (default) answers it immediately with a structured ``overloaded``
-        error reply; ``"block"`` holds admission until space frees (the
-        client connection feels backpressure instead of an error).
+        degrades gracefully instead of accumulating latency without limit:
+        an ``infer`` arriving at a full queue is answered immediately with
+        a structured ``overloaded`` error reply.
     replica_id:
         Stable identity this server reports in ``info`` (a
         :class:`~repro.serve.fleet.ReplicaManager` checks it at boot);
@@ -251,7 +235,6 @@ class ChipServer:
         workload: str = "custom",
         max_batch: int = 8,
         max_queue: int = 0,
-        shed_policy: str = "reject",
         replica_id: str | None = None,
         metrics_port: int | None = None,
         registry: MetricsRegistry | None = None,
@@ -260,15 +243,10 @@ class ChipServer:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
-        if shed_policy not in SHED_POLICIES:
-            raise ValueError(
-                f"shed_policy must be one of {SHED_POLICIES}, got {shed_policy!r}"
-            )
         self.target = target
         self.workload = workload
         self.max_batch = max_batch
         self.max_queue = max_queue
-        self.shed_policy = shed_policy
         #: Unix timestamp of server construction (the socket binds here, so
         #: this is when the endpoint became connectable).
         self.started_at = time.time()
@@ -360,8 +338,6 @@ class ChipServer:
         self._active_infers = 0
         #: True once a ``drain`` op arrived: admission is closed for good.
         self._draining = False
-        #: FIFO of block-policy admissions waiting for a queue slot.
-        self._space_waiters: deque[asyncio.Future] = deque()
         self._thread: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stop_event: asyncio.Event | None = None
@@ -466,7 +442,6 @@ class ChipServer:
             "queue_depth": self._backlog,
             "inflight": self._inflight,
             "max_queue": self.max_queue,
-            "shed_policy": self.shed_policy,
             "started_at": self.started_at,
             "uptime_s": max(0.0, time.time() - self.started_at),
             "stats": dict(self.stats),
@@ -481,50 +456,14 @@ class ChipServer:
 
     # -- admission control --------------------------------------------------------
 
-    def _relinquish_wait(self, waiter: asyncio.Future) -> None:
-        """Abandon a blocked admission without leaking its queue slot.
-
-        The abandonment paths (deadline timeout, task cancellation) race
-        the slot handoff: the timer/cancel can fire *after*
-        :meth:`_wake_one_waiter` already resolved this waiter (result
-        ``True``) and pre-incremented the backlog on its behalf.  A
-        transferred slot the waiter will never use must be passed on, or
-        the queue bound permanently shrinks by one.  Waiters resolved with
-        ``False`` (a cancel op) never held a slot.
-        """
-        if waiter.done() and not waiter.cancelled() and waiter.result():
-            self._release_slot()
-        else:
-            with contextlib.suppress(ValueError):
-                self._space_waiters.remove(waiter)
-
-    def _wake_one_waiter(self) -> None:
-        """Hand a freed queue slot to the longest-blocked admission waiter.
-
-        The slot transfers *atomically at wake time* (the backlog is
-        re-incremented on the waiter's behalf before any other task runs),
-        so a burst of fresh arrivals can never steal the slot from a
-        request that has been blocking longer — block-policy admission is
-        strictly FIFO.  The waiter resolves to ``True`` ("you own a slot");
-        a cancel op resolves waiters to ``False`` ("stop waiting, no slot").
-        """
-        while self._space_waiters:
-            waiter = self._space_waiters.popleft()
-            if not waiter.done():
-                self._backlog += 1  # the freed slot now belongs to this waiter
-                self._m_queue_depth.set(self._backlog)
-                waiter.set_result(True)
-                return
-
     def _release_slot(self) -> None:
-        """Return one backlog slot, waking the next blocked admission.
+        """Return one backlog slot.
 
         Called whenever an admitted request leaves the queue — dispatched,
-        expired, cancelled — or a transferred slot cannot be used.
+        expired or cancelled.
         """
         self._backlog -= 1
         self._m_queue_depth.set(self._backlog)
-        self._wake_one_waiter()
 
     def _reject_draining(self) -> ServeRejection:
         self._m_drain_rejected.inc()
@@ -532,82 +471,25 @@ class ChipServer:
             "server is draining; no new work is admitted", code=ERROR_DRAINING
         )
 
-    async def _admit(self, item: _QueuedInfer) -> None:
+    def _admit(self, item: _QueuedInfer) -> None:
         """Apply the queue bound, then enqueue (never partially admits).
 
-        ``"reject"`` sheds immediately with a structured ``overloaded``
-        error; ``"block"`` joins a FIFO waiter queue for the next freed
-        slot — but never waits past the request's own deadline, which
-        converts the wait into ``deadline_exceeded``.  A request whose
-        future was already resolved (a ``cancel`` op raced admission) is
-        never enqueued — the server must not compute an answer nobody will
-        read.  A draining server admits nothing: requests answer a
-        structured ``draining`` error instead (including block-policy
-        waiters, which a ``drain`` op unblocks immediately).
+        A full queue sheds the request immediately with a structured
+        ``overloaded`` error, and a draining server admits nothing:
+        requests answer a structured ``draining`` error instead.  There is
+        no await between the bound check and the enqueue, so admission is
+        atomic on the event loop.
         """
         assert self._loop is not None and self._queue is not None
         if self._draining:
             raise self._reject_draining()
-        if self.max_queue and (
-            self._backlog >= self.max_queue or self._space_waiters
-        ):
-            if self.shed_policy == "reject":
-                self._m_shed.inc()
-                raise ServeRejection(
-                    f"server queue is full ({self._backlog}/{self.max_queue} "
-                    f"requests waiting); request shed",
-                    code=ERROR_OVERLOADED,
-                )
-            remaining = None
-            if item.deadline is not None:
-                remaining = item.deadline - self._loop.time()
-                if remaining <= 0:
-                    self._m_deadline.inc()
-                    raise ServeRejection(
-                        "deadline expired while blocked on a full server queue",
-                        code=ERROR_DEADLINE_EXCEEDED,
-                    )
-            waiter: asyncio.Future = self._loop.create_future()
-            self._space_waiters.append(waiter)
-            item.waiter = waiter
-            try:
-                got_slot = await asyncio.wait_for(waiter, timeout=remaining)
-            except (asyncio.TimeoutError, TimeoutError):
-                self._relinquish_wait(waiter)
-                if item.future.done():
-                    # A racing cancel already resolved this request; the
-                    # caller's `await future` reports the cancellation.
-                    return
-                self._m_deadline.inc()
-                raise ServeRejection(
-                    "deadline expired while blocked on a full server queue",
-                    code=ERROR_DEADLINE_EXCEEDED,
-                ) from None
-            except asyncio.CancelledError:
-                # The connection died while we blocked.
-                self._relinquish_wait(waiter)
-                raise
-            finally:
-                item.waiter = None
-            if item.future.done():
-                if got_slot:
-                    self._release_slot()  # cancelled while blocked; pass it on
-                return
-            if self._draining:
-                # A drain op resolved this waiter (no slot) — or raced the
-                # handoff; either way the request can no longer be admitted.
-                if got_slot:
-                    self._release_slot()
-                raise self._reject_draining()
-            # got_slot is always True here: only a cancel or a drain
-            # resolves the waiter with False, and both are handled above.
-            item.admitted_at = self._loop.time()
-            self._queue.put_nowait(item)
-            return
-        if item.future.done():
-            return  # cancelled before admission; nothing to enqueue
-        # No awaits between the bound check and the enqueue: admission is
-        # atomic on the event loop.
+        if self.max_queue and self._backlog >= self.max_queue:
+            self._m_shed.inc()
+            raise ServeRejection(
+                f"server queue is full ({self._backlog}/{self.max_queue} "
+                f"requests waiting); request shed",
+                code=ERROR_OVERLOADED,
+            )
         self._backlog += 1
         self._m_queue_depth.set(self._backlog)
         item.admitted_at = self._loop.time()
@@ -616,19 +498,9 @@ class ChipServer:
     # -- graceful drain -----------------------------------------------------------
 
     def _begin_drain(self) -> dict[str, object]:
-        """Close admission for good (idempotent; event-loop only).
-
-        Block-policy admissions still waiting for a queue slot can never be
-        admitted now, so their waiters resolve immediately (no slot): each
-        blocked request answers a structured ``draining`` error right away
-        instead of waiting out a slot it would be refused anyway.
-        """
+        """Close admission for good (idempotent; event-loop only)."""
         already = self._draining
         self._draining = True
-        while self._space_waiters:
-            waiter = self._space_waiters.popleft()
-            if not waiter.done():
-                waiter.set_result(False)
         return {
             "draining": True,
             "was_draining": already,
@@ -707,13 +579,10 @@ class ChipServer:
                     future=future,
                     deadline=deadline,
                 )
-                # Registered BEFORE admission so a cancel op can reach a
-                # request still blocked in block-policy admission (its
-                # future resolves; _admit then declines to enqueue it).
-                conn_pending[request_id] = item
                 admit_started = self._loop.time()
+                self._admit(item)
+                conn_pending[request_id] = item
                 try:
-                    await self._admit(item)
                     # A cancel op resolves this future with a structured
                     # ServeRejection; the dispatcher resolves it with the
                     # response (or the dispatch failure).
@@ -753,16 +622,6 @@ class ChipServer:
                             code=ERROR_CANCELLED,
                         )
                     )
-                    if pending.waiter is not None and not pending.waiter.done():
-                        # Unblock a block-policy admission immediately (no
-                        # slot transfer) so the structured cancelled reply
-                        # goes out now, not when a queue slot frees — and
-                        # drop it from the waiter queue, where a resolved
-                        # entry would wrongly keep the bound check blocking
-                        # new arrivals after the queue drains.
-                        pending.waiter.set_result(False)
-                        with contextlib.suppress(ValueError):
-                            self._space_waiters.remove(pending.waiter)
                     self._m_cancelled.inc()
                     if message.get("reason") == "hedge":
                         # The gateway revoked a losing hedged duplicate:
@@ -1111,7 +970,6 @@ class ChipServer:
     async def _serve_async(self) -> None:
         self._stop_event = asyncio.Event()
         self._queue = asyncio.Queue()
-        self._space_waiters.clear()  # waiters belong to the serving loop
         # The loop is published LAST: start() returns (and close() may run)
         # as soon as it appears, and close() needs the stop event with it.
         self._loop = asyncio.get_running_loop()

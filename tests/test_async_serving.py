@@ -442,7 +442,7 @@ class TestServerDynamicBatching:
                 _assert_identical(expected, response)
 
 
-# -- load control: backpressure, deadlines, cancellation ----------------------------
+# -- load control: shedding, deadlines, cancellation --------------------------------
 
 
 def _wait_for_info(client: PipelinedSession, predicate, timeout: float = 20.0):
@@ -462,18 +462,13 @@ class TestLoadControl:
         session = _fresh_session(workload)
         with pytest.raises(ValueError, match="max_queue must be >= 0"):
             ChipServer(session, port=0, max_queue=-1)
-        with pytest.raises(ValueError, match="shed_policy must be one of"):
-            ChipServer(session, port=0, shed_policy="bogus")
 
     def test_info_reports_load_stats_and_start_time(self, workload):
         before = time.time()
-        with ChipServer(
-            _fresh_session(workload), port=0, max_queue=7, shed_policy="block"
-        ) as server:
+        with ChipServer(_fresh_session(workload), port=0, max_queue=7) as server:
             info = server.info()
         assert info["protocol_version"] == PROTOCOL_VERSION
         assert info["max_queue"] == 7
-        assert info["shed_policy"] == "block"
         assert info["queue_depth"] == 0
         assert info["inflight"] == 0
         assert before <= info["started_at"] <= time.time()
@@ -529,143 +524,6 @@ class TestLoadControl:
         assert final["stats"]["shed"] == len(shed_errors)
         assert final["stats"]["requests"] == 1 + n_bound
         assert final["queue_depth"] == 0
-
-    def test_block_policy_applies_backpressure_without_shedding(
-        self, workload, single_session
-    ):
-        _, _, inputs, _ = workload
-        gate = _GateTarget(_fresh_session(workload))
-        requests = [
-            InferenceRequest(inputs=inputs[:3]),
-            InferenceRequest(inputs=inputs[3:6], sample_offset=3),
-            InferenceRequest(inputs=inputs[6:9], sample_offset=6),
-        ]
-        with ChipServer(
-            gate, port=0, workload="blocking", max_queue=1, shed_policy="block"
-        ).start() as server:
-            with PipelinedSession.connect(server.address, connections=1) as client:
-                futures = [client.submit(requests[0])]
-                assert gate.entered.wait(timeout=10), "head dispatch never ran"
-                futures.append(client.submit(requests[1]))
-                _wait_for_info(client, lambda i: i["queue_depth"] == 1)
-                # The third submit blocks in admission instead of shedding:
-                # the queue bound holds and nothing errors.
-                futures.append(client.submit(requests[2]))
-                time.sleep(0.2)
-                info = client.info(refresh=True)
-                assert info["queue_depth"] == 1
-                assert info["stats"]["shed"] == 0
-                assert not futures[2].done(), "blocked request resolved early"
-                gate.release.set()
-                responses = [future.result(timeout=60) for future in futures]
-                final = client.info(refresh=True)
-        for request, response in zip(requests, responses):
-            _assert_identical(single_session.infer(request), response)
-        assert final["stats"]["shed"] == 0
-        assert final["stats"]["requests"] == 3
-
-    def test_cancel_reaches_request_blocked_in_admission(
-        self, workload, single_session
-    ):
-        # A cancel must also reach a request still blocked in block-policy
-        # admission: it is never enqueued, never dispatched, and the server
-        # does not burn chip compute on an answer nobody will read.
-        _, _, inputs, _ = workload
-        gate = _GateTarget(_fresh_session(workload))
-        head = InferenceRequest(inputs=inputs[:3])
-        queued = InferenceRequest(inputs=inputs[3:6], sample_offset=3)
-        blocked = InferenceRequest(inputs=inputs[6:9], sample_offset=6)
-        with ChipServer(
-            gate, port=0, workload="cancel-blocked", max_queue=1, shed_policy="block"
-        ).start() as server:
-            with PipelinedSession.connect(server.address, connections=1) as client:
-                future_head = client.submit(head)
-                assert gate.entered.wait(timeout=10), "head dispatch never ran"
-                future_queued = client.submit(queued)
-                _wait_for_info(client, lambda i: i["queue_depth"] == 1)
-                future_blocked = client.submit(blocked)
-                deadline = time.monotonic() + 10
-                while len(server._space_waiters) < 1:  # noqa: SLF001
-                    assert time.monotonic() < deadline, "third request never blocked"
-                    time.sleep(0.005)
-                assert future_blocked.cancel(), "blocked future refused to cancel"
-                _wait_for_info(client, lambda i: i["stats"]["cancelled"] == 1)
-                # The cancel unblocks the admission immediately — while the
-                # worker is still gated and the queue still full — and
-                # leaves no stale entry in the waiter queue.
-                deadline = time.monotonic() + 10
-                while server._space_waiters:  # noqa: SLF001
-                    assert time.monotonic() < deadline, (
-                        "cancelled admission still parked in the waiter queue"
-                    )
-                    time.sleep(0.005)
-                gate.release.set()
-                _assert_identical(
-                    single_session.infer(head), future_head.result(timeout=60)
-                )
-                _assert_identical(
-                    single_session.infer(queued), future_queued.result(timeout=60)
-                )
-                # Regression: a drained queue with a historical cancel must
-                # admit new work (no deadlock on a stale waiter entry).
-                _wait_for_info(client, lambda i: i["queue_depth"] == 0)
-                _assert_identical(
-                    single_session.infer(head),
-                    client.submit(head).result(timeout=60),
-                )
-                final = client.info(refresh=True)
-        assert final["stats"]["cancelled"] == 1
-        assert final["stats"]["requests"] == 3, "cancelled request was computed"
-        assert final["queue_depth"] == 0
-        assert sum(gate.dispatches) == 3, "cancelled request reached the work thread"
-
-    def test_block_policy_admission_is_fifo_under_sustained_load(
-        self, workload, single_session
-    ):
-        # The freed slot is handed to the longest-blocked waiter (slot
-        # transfer at wake time), so backpressure holds arrival order
-        # instead of letting fresh arrivals starve old ones.
-        _, _, inputs, _ = workload
-
-        class _RecordingGate(_GateTarget):
-            def __init__(self, session):
-                super().__init__(session)
-                self.offsets: list[int] = []
-
-            def infer_many(self, requests):
-                responses = super().infer_many(requests)
-                self.offsets.extend(r.sample_offset for r in requests)
-                return responses
-
-        gate = _RecordingGate(_fresh_session(workload))
-        requests = [
-            InferenceRequest(inputs=inputs[i : i + 3], sample_offset=i)
-            for i in (0, 3, 6, 9)
-        ]
-        with ChipServer(
-            gate, port=0, workload="fifo", max_queue=1, shed_policy="block"
-        ).start() as server:
-            with PipelinedSession.connect(server.address, connections=1) as client:
-                futures = [client.submit(requests[0])]
-                assert gate.entered.wait(timeout=10), "head dispatch never ran"
-                futures.append(client.submit(requests[1]))
-                _wait_for_info(client, lambda i: i["queue_depth"] == 1)
-                for expected_waiters in (1, 2):
-                    futures.append(client.submit(requests[len(futures)]))
-                    deadline = time.monotonic() + 10
-                    while len(server._space_waiters) < expected_waiters:  # noqa: SLF001
-                        assert time.monotonic() < deadline, (
-                            f"request never joined the waiter queue "
-                            f"({expected_waiters})"
-                        )
-                        time.sleep(0.005)
-                gate.release.set()
-                responses = [future.result(timeout=60) for future in futures]
-        for request, response in zip(requests, responses):
-            _assert_identical(single_session.infer(request), response)
-        assert gate.offsets == [0, 3, 6, 9], (
-            f"backpressure reordered arrivals: {gate.offsets}"
-        )
 
     def test_deadline_expires_before_dispatch(self, workload, single_session):
         _, _, inputs, _ = workload
@@ -1126,7 +984,7 @@ class TestAsyncGateway:
 
 
 class _BackloggedTarget:
-    """Local session reporting a scripted backlog through the load() hook."""
+    """Local session reporting a scripted backlog through the info op."""
 
     capacity = 1
 
@@ -1134,8 +992,8 @@ class _BackloggedTarget:
         self._session = session
         self.backlog = backlog
 
-    def load(self) -> float:
-        return self.backlog
+    def info(self, refresh: bool = False, *, timeout: float | None = None):
+        return {"queue_depth": self.backlog, "inflight": 0}
 
     def infer(self, request):
         return self._session.infer(request)
@@ -1385,7 +1243,6 @@ class TestServeCli:
             ["smoke", "--timeout", "0"],
             ["serve", "--max-batch", "0"],
             ["serve", "--max-queue", "-1"],
-            ["serve", "--shed-policy", "sometimes"],
         ],
     )
     def test_cli_rejects_bad_arguments_early(self, argv):

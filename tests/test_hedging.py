@@ -251,11 +251,11 @@ class TestRetryBudgets:
                 GatewayEndpoint(target=_session(workload), capacity=1, name="ok"),
             ],
             adaptive=False,
-            retry_backoff_base_s=0.001,
-            retry_backoff_cap_s=0.002,
         )
+        budget = RetryBudget(2, backoff_base_s=0.001, backoff_cap_s=0.002)
+        request = InferenceRequest(inputs=inputs).with_retry_budget(budget)
         with gateway:
-            response = gateway.infer(InferenceRequest(inputs=inputs))
+            response = gateway.infer(request)
         np.testing.assert_array_equal(response.predictions, expected.predictions)
         assert flaky.calls == 1
         shards = response.metadata["shards"]
@@ -288,6 +288,30 @@ class TestRetryBudgets:
         assert tail["retries"] == 1
         assert tail["budget_exhausted"] == 1
         _drain_inflight(gateway, timeout_s=5.0)
+
+    def test_default_budget_allows_one_retry_per_shard(self, workload):
+        """Without a request budget, a request gets ``1 + shards`` attempts."""
+        snn, config, inputs = workload
+        shed_a, shed_b = _AlwaysShedTarget(), _AlwaysShedTarget()
+        gateway = InferenceGateway(
+            [
+                GatewayEndpoint(target=shed_a, capacity=1, name="a"),
+                GatewayEndpoint(target=shed_b, capacity=1, name="b"),
+            ],
+            adaptive=False,
+        )
+        with gateway:
+            future = gateway.submit(InferenceRequest(inputs=inputs))
+            with pytest.raises(RetryBudgetExhausted) as excinfo:
+                future.result(timeout=60)
+            assert excinfo.value.attempts == 3
+            _drain_inflight(gateway)
+        # Two planned dispatches plus the two budgeted retries; each shard
+        # then finds the pooled budget dry.
+        assert shed_a.calls + shed_b.calls == 4
+        tail = gateway.tail_stats()
+        assert tail["retries"] == 2
+        assert tail["budget_exhausted"] == 2
 
     def test_exhaustion_error_names_attempts_and_cause(self):
         budget = RetryBudget(3)
