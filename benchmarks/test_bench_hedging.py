@@ -125,7 +125,6 @@ def _drive(replicas, requests, expected, hedge_after_s: float | None) -> dict:
             for replica in replicas
         ],
         name=f"bench-hedging-{'on' if hedge_after_s else 'off'}",
-        adaptive=False,
         hedge_after_s=hedge_after_s,
     )
     try:

@@ -20,10 +20,12 @@ Three subcommands, all runnable as ``python -m repro.serve.distributed``:
   readiness, run a client inference twice (asserting the served results
   are deterministic and well-formed), drive two concurrent pipelined
   clients and assert their dynamically batched responses are identical to
-  the serial ones, tear the server down — then boot a bounded-queue server
-  in process and drive one deliberately-shed request, asserting the
-  structured ``overloaded`` reply while every admitted request stays
-  exact.  Exit code 0 means the whole loop works.
+  the serial ones, scrape the ``metrics`` op and the Prometheus endpoint,
+  tear the server down — then boot a bounded-queue server in process and
+  drive one deliberately-shed request, asserting the structured
+  ``overloaded`` reply while every admitted request stays exact.  Exit
+  code 0 means the whole loop works.  The smoke runs no gateway; hedging
+  and shed retries are checked in process by the test suite.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from repro.serve.distributed.client import (
     parse_endpoint,
 )
 from repro.serve.distributed.server import ChipServer, load_benchmark_workload
-from repro.serve.distributed.gateway import GatewayEndpoint, InferenceGateway
 from repro.serve.pool import ChipPool
 from repro.serve.retry import RetryBudget
 from repro.serve.schema import ERROR_OVERLOADED, PROTOCOL_VERSION, InferenceRequest
@@ -185,15 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="file the server subprocess logs to (default: a temp file); "
         "smoke dumps it when the check fails",
     )
-    smoke.add_argument(
-        "--hedge-after",
-        type=float,
-        default=0.05,
-        metavar="SECONDS",
-        help="straggler threshold for the hedging drive: a gated endpoint "
-        "holds one shard past this long, the gateway must duplicate it to "
-        "the fast sibling and win there (0 skips the hedging drive)",
-    )
 
     return parser
 
@@ -217,8 +209,6 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         parser.error(f"--deadline must be > 0 seconds, got {args.deadline}")
     if getattr(args, "retry_attempts", None) is not None and args.retry_attempts < 1:
         parser.error(f"--retry-attempts must be >= 1, got {args.retry_attempts}")
-    if args.command == "smoke" and args.hedge_after < 0:
-        parser.error(f"--hedge-after must be >= 0 seconds, got {args.hedge_after}")
     if getattr(args, "endpoint", None) is not None:
         try:
             parse_endpoint(args.endpoint)
@@ -607,73 +597,6 @@ def _smoke_load_shedding(args: argparse.Namespace) -> None:
     )
 
 
-def _smoke_hedging(args: argparse.Namespace) -> None:
-    """Drive one deliberately-hedged shard and assert the exact, faster win.
-
-    An in-process gateway over two endpoints: a gated straggler (holds its
-    shard until released) and a fast sibling.  The straggler's shard must
-    trip the ``--hedge-after`` threshold, get duplicated onto the sibling
-    and win there — while the merged response stays bit-identical to the
-    serial single-session run.  The gate opens only *after* the merged
-    response landed, so the win can only have come from the hedge.
-    """
-    workload = load_benchmark_workload(args.workload, scale=args.scale, seed=args.seed)
-
-    def session() -> ChipSession:
-        return ChipSession(
-            workload.snn, timesteps=args.timesteps, encoder="poisson", seed=args.seed
-        )
-
-    n = min(args.samples, len(workload.test_inputs))
-    request = InferenceRequest(inputs=workload.test_inputs[:n])
-    expected = session().infer(request)
-    gate = _GatedTarget(session())
-    gateway = InferenceGateway(
-        [
-            GatewayEndpoint(target=gate, name="straggler"),
-            GatewayEndpoint(target=session(), name="sibling"),
-        ],
-        name="smoke-hedge",
-        adaptive=False,
-        load_poll_s=0.0,
-        hedge_after_s=args.hedge_after,
-    )
-    try:
-        response = gateway.submit(request).result(timeout=args.timeout)
-        tail = gateway.tail_stats()
-    finally:
-        # The straggler's worker is still blocked on the gate; open it
-        # before close() so the dispatch pool can drain and shut down.
-        gate.release.set()
-        gateway.close()
-    assert np.array_equal(response.predictions, expected.predictions), (
-        "hedged response predictions diverged from the serial run"
-    )
-    assert np.array_equal(response.spike_counts, expected.spike_counts), (
-        "hedged response spike counts diverged from the serial run"
-    )
-    assert abs(response.energy.total_j - expected.energy.total_j) <= (
-        1e-9 * expected.energy.total_j
-    ), "hedged response energy diverged from the serial run"
-    assert tail["hedges_issued"] >= 1, f"no hedge was issued: {tail}"
-    assert tail["hedge_wins"] >= 1, f"the hedge never won: {tail}"
-    hedged = [
-        shard
-        for shard in response.metadata["shards"]
-        if shard.get("hedged_from") == "straggler"
-    ]
-    assert hedged and all(s["endpoint"] == "sibling" for s in hedged), (
-        f"response metadata records no straggler->sibling hedge: "
-        f"{response.metadata['shards']}"
-    )
-    print(
-        f"smoke: hedging ok (straggler held past {args.hedge_after:.3f}s, "
-        f"{tail['hedges_issued']} hedge(s) issued, "
-        f"{tail['hedge_wins']} won on the sibling, merged response exact)",
-        flush=True,
-    )
-
-
 def _cmd_smoke(args: argparse.Namespace) -> int:
     command = [
         sys.executable,
@@ -762,8 +685,6 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
                 except subprocess.TimeoutExpired:
                     proc.kill()
     _smoke_load_shedding(args)
-    if args.hedge_after > 0:
-        _smoke_hedging(args)
     print("smoke: OK", flush=True)
     return 0
 

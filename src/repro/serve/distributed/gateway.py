@@ -7,20 +7,17 @@ endpoints — local :class:`~repro.serve.ChipSession`\\ s and
 the ``infer`` contract — and merges the shard responses into one exact
 result.
 
-Sharding is *capacity-weighted and load-aware*: an endpoint with capacity 3
+Sharding is *static and capacity-weighted*: an endpoint with capacity 3
 (say, a remote pool with ``jobs=3``) receives three times the samples of a
 capacity-1 session, via cumulative rounding so the contiguous shard sizes
-always sum to the batch exactly — but the static weight is discounted by the
-endpoint's observed backlog (gateway shards planned onto it and not yet
-finished, plus the server's last-polled ``queue_depth``/``inflight``), so a
-congested server receives less of each new batch instead of stretching its
-queue further.  Server backlog is polled by a **background refresher
-thread**, never on the submit path: ``submit()`` reads only cached hints, so
-a wedged endpoint's ``info`` can never stall dispatch.  A shard that an
-overloaded or draining server *sheds* (structured ``overloaded`` /
-``draining`` error) is retried on the least-loaded sibling endpoint within
-the request's :class:`~repro.serve.retry.RetryBudget` (jittered backoff
-between hops; exhaustion surfaces as a structured
+always sum to the batch exactly.  The plan is a pure function of the batch
+size and the endpoints' capacities — like RESPARC's mapping of a network
+onto identical tiles, it is fixed before the work runs — so the gateway
+never polls an endpoint.  A shard that an overloaded or draining server
+*sheds* (structured ``overloaded`` / ``draining`` error) is retried on the
+sibling with the fewest of this gateway's shards in flight, within the
+request's :class:`~repro.serve.retry.RetryBudget` (jittered backoff between
+hops; exhaustion surfaces as a structured
 :class:`~repro.serve.retry.RetryBudgetExhausted`), and per-request deadlines
 propagate to every endpoint whose ``submit`` takes one.
 
@@ -38,7 +35,7 @@ the request.  Because every shard carries its absolute ``sample_offset`` and
 every endpoint derives spike trains from the same shard-stable
 :class:`~repro.snn.encoding.EncoderState` seeding, the merged response is
 result-identical to running the whole batch on any single endpoint — any
-placement the load feedback picks yields the same numbers — provided the
+placement a retry or hedge picks yields the same numbers — provided the
 endpoints serve the *same workload* (same SNN, config, seed, encoder and
 timesteps), which is the operator's contract.
 
@@ -100,11 +97,6 @@ from repro.serve.schema import (
 
 __all__ = ["GatewayEndpoint", "InferenceGateway"]
 
-#: Hard bound on one endpoint load poll.  Polls run on the background
-#: refresher thread (never the submit path), but one wedged endpoint must
-#: not starve the refresh of its healthy siblings for longer than this.
-LOAD_POLL_TIMEOUT_S = 1.0
-
 #: Structured server errors that make a shard eligible for retry on a
 #: sibling endpoint (the server refused the work without starting it).
 _SHED_RETRY_CODES = frozenset({ERROR_OVERLOADED, ERROR_DRAINING})
@@ -128,10 +120,9 @@ class GatewayEndpoint:
     ``jobs`` attribute (a local pool), then to 1.  An explicit capacity must
     be positive — a zero-capacity endpoint could never receive a shard.
 
-    The gateway additionally tracks per-endpoint *load*: how many of its own
-    shards are currently on the endpoint (``inflight``) plus the endpoint's
-    last-polled server backlog (``load_hint``), which together discount the
-    static capacity during adaptive sharding.
+    The gateway also counts how many of its own shards are on the endpoint
+    (``inflight``).  The count never moves a shard boundary; it only picks
+    the sibling a shed retry or a hedge goes to.
     """
 
     target: object
@@ -144,8 +135,6 @@ class GatewayEndpoint:
     #: Gateway shards planned onto this endpoint and not yet finished
     #: (queued behind the endpoint lock, executing, or mid-retry).
     inflight: int = field(default=0, init=False, repr=False, compare=False)
-    #: Last polled remote backlog (server queue depth + inflight).
-    load_hint: float = field(default=0.0, init=False, repr=False, compare=False)
     #: Whether ``target.submit`` exists (pipelined remotes): hedged dispatch
     #: then gets a cancellable future, so losing attempts can be revoked on
     #: the server instead of computing an orphaned answer.
@@ -613,25 +602,12 @@ class _ShardRun:
 class InferenceGateway:
     """Fan batches out across endpoints and merge the responses exactly.
 
+    Every batch is split by :meth:`shard_plan` in proportion to the
+    endpoints' static capacities; the gateway runs no thread of its own
+    until the first shard is dispatched.
+
     Parameters
     ----------
-    adaptive:
-        When True (default), sharding weights are the endpoints' *effective*
-        capacities — the static weight discounted by the observed backlog
-        (gateway shards already on the endpoint plus the server's polled
-        queue depth): ``capacity / (1 + backlog)``.  Idle endpoints keep
-        their static weights exactly, so a quiet gateway plans the same
-        shards the static planner did.  Any shard split is result-identical
-        (sharding is exact), so adaptivity changes placement, never numbers.
-    load_poll_s:
-        Interval of the background load refresher (seconds).  The refresher
-        thread polls every endpoint's backlog on this cadence and caches
-        the hints; ``submit()`` only ever reads the cache.  Only targets
-        with an ``info`` op (a pipelined remote's live ``queue_depth`` /
-        ``inflight``) are polled, each poll bounded by
-        :data:`LOAD_POLL_TIMEOUT_S`; everything else contributes only the
-        gateway's own planned-shard count.  :meth:`refresh_load_hints`
-        forces one synchronous sweep.
     hedge_after_s:
         Straggler threshold: a shard still unfinished after this many
         seconds is duplicated onto the least-loaded sibling; the first
@@ -648,20 +624,14 @@ class InferenceGateway:
         endpoints: Sequence[GatewayEndpoint | object],
         *,
         name: str = "gateway",
-        adaptive: bool = True,
-        load_poll_s: float = 0.25,
         registry: MetricsRegistry | None = None,
         hedge_after_s: float | None = None,
     ):
         if not endpoints:
             raise ValueError("gateway needs at least one endpoint")
-        if load_poll_s < 0:
-            raise ValueError(f"load_poll_s must be >= 0, got {load_poll_s}")
         if hedge_after_s is not None and hedge_after_s <= 0:
             raise ValueError(f"hedge_after_s must be > 0, got {hedge_after_s}")
         self.name = name
-        self.adaptive = adaptive
-        self.load_poll_s = load_poll_s
         self.hedge_after_s = hedge_after_s
         self.metrics = registry if registry is not None else get_default_registry()
         self._m_requests = self.metrics.counter(
@@ -706,8 +676,8 @@ class InferenceGateway:
             e if isinstance(e, GatewayEndpoint) else GatewayEndpoint(target=e)
             for e in endpoints
         ]
-        # Guards the per-endpoint inflight counters and load hints (the
-        # endpoint `lock` is held for whole inferences — too coarse here).
+        # Guards the per-endpoint inflight and hedge counters (the endpoint
+        # `lock` is held for whole inferences — too coarse here).
         self._load_lock = threading.Lock()
         # Sized for several batches in flight: shards of batch k+1 queue up
         # behind the per-endpoint locks while batch k still computes.
@@ -716,29 +686,13 @@ class InferenceGateway:
             thread_name_prefix="gateway",
         )
         self._closed = False
-        # Background load refresher: the ONLY place endpoint `info` is
-        # polled, so submit() can never block on a wedged endpoint.  It
-        # waits a full interval before the first sweep (an idle start plans
-        # exactly like the static planner anyway), and close() joins it.
-        self._refresh_stop = threading.Event()
-        self._refresher: threading.Thread | None = None
-        if self.adaptive:
-            self._refresher = threading.Thread(
-                target=self._refresh_loop,
-                name=f"{self.name}-load-refresh",
-                daemon=True,
-            )
-            self._refresher.start()
 
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self, *, close_endpoints: bool = False) -> None:
-        """Shut down the refresher + dispatch threads; optionally endpoints too."""
+        """Join the dispatch threads once every shard ends; optionally close endpoints."""
         if not self._closed:
             self._closed = True
-            self._refresh_stop.set()
-            if self._refresher is not None:
-                self._refresher.join(timeout=10.0)
             self._threads.shutdown(wait=True)
         if close_endpoints:
             for endpoint in self.endpoints:
@@ -759,78 +713,20 @@ class InferenceGateway:
 
     # -- load tracking ------------------------------------------------------------
 
-    def _refresh_loop(self) -> None:
-        # Clamp the busy-loop floor: load_poll_s=0 means "as fresh as
-        # possible", not "spin a core".
-        interval = max(self.load_poll_s, 0.05)
-        while not self._refresh_stop.wait(interval):
-            self.refresh_load_hints()
-
-    def refresh_load_hints(self) -> None:
-        """One synchronous backlog sweep over the endpoints.
-
-        This is the refresher thread's body, exposed so tests can force a
-        fresh sample instead of waiting out the poll interval.  ``submit()``
-        itself never calls it.
-        """
-        for endpoint in self.endpoints:
-            self._poll_backlog(endpoint)
-
-    def _poll_backlog(self, endpoint: GatewayEndpoint) -> float:
-        """Refresh and return the endpoint's remote backlog hint.
-
-        The source is an optional ``info`` poll (a pipelined remote answers
-        it alongside in-flight shards on the same connections), bounded by
-        :data:`LOAD_POLL_TIMEOUT_S` so one wedged endpoint cannot starve its
-        siblings' refresh.  Poll failures (including timeouts) keep the
-        previous hint: a dying endpoint's shard will fail loudly on its own.
-        """
-        target = endpoint.target
-        hint: float | None = None
-        if callable(getattr(target, "info", None)):
-            try:
-                info = target.info(refresh=True, timeout=LOAD_POLL_TIMEOUT_S)
-                hint = float(info.get("queue_depth", 0)) + float(
-                    info.get("inflight", 0)
-                )
-            except Exception:  # noqa: BLE001 - load probes must never fail a plan
-                hint = None
-        with self._load_lock:
-            if hint is not None:
-                endpoint.load_hint = max(0.0, hint)
-            return endpoint.load_hint
-
-    def _backlog_of(self, endpoint: GatewayEndpoint) -> float:
-        """Observed backlog: planned-but-unfinished shards + cached hint.
-
-        A pure cached read — no I/O — so every caller on the submit path
-        (planning, shed-retry fallback selection) stays non-blocking.
-        """
-        with self._load_lock:
-            return float(endpoint.inflight) + float(endpoint.load_hint)
-
     def endpoint_loads(self) -> dict[str, dict[str, object]]:
-        """Per-endpoint load snapshot (cached; safe to call from anywhere).
+        """Per-endpoint load snapshot (safe to call from anywhere).
 
-        The gateway-side planned-shard count, the refresher's last server
-        hint and the hedges issued against each endpoint.
+        This gateway's shards on each endpoint and the hedges issued
+        against it.
         """
         loads: dict[str, dict[str, object]] = {}
         with self._load_lock:
             for endpoint in self._endpoints:
                 loads[endpoint.name] = {
-                    "backlog": float(endpoint.inflight) + float(endpoint.load_hint),
                     "inflight": int(endpoint.inflight),
-                    "load_hint": float(endpoint.load_hint),
                     "hedges": int(endpoint.hedges),
                 }
         return loads
-
-    def _effective_capacity(self, endpoint: GatewayEndpoint) -> float:
-        """Static weight discounted by backlog (equal to it when idle)."""
-        if not self.adaptive:
-            return float(endpoint.capacity)
-        return float(endpoint.capacity) / (1.0 + self._backlog_of(endpoint))
 
     # -- sharding -----------------------------------------------------------------
 
@@ -840,28 +736,21 @@ class InferenceGateway:
         return float(sum(e.capacity for e in self._endpoints))
 
     def shard_plan(self, batch: int) -> list[_ShardPlan]:
-        """Load-aware contiguous shards covering ``[0, batch)`` exactly.
+        """Capacity-weighted contiguous shards covering ``[0, batch)`` exactly.
 
-        Weights are the endpoints' effective capacities (static capacity
-        discounted by cached backlog; see the class docstring) — on idle
-        endpoints this is exactly the historical static capacity plan.
-        Cumulative rounding keeps the boundaries monotone and the final
-        boundary equal to ``batch``; endpoints whose rounded share is empty
-        (small batches, heavy backlog) are skipped rather than sent
-        degenerate requests.  A single-endpoint plan degenerates to one
+        A pure function of ``batch`` and the endpoints' static capacities:
+        what is in flight never moves a boundary.  Cumulative rounding keeps
+        the boundaries monotone and the final boundary equal to ``batch``;
+        endpoints whose rounded share is empty (small batches) are skipped
+        rather than sent degenerate requests.  A single-endpoint plan is one
         whole-batch shard — no splitting, just the dispatch/merge envelope.
         """
-        endpoints = self._endpoints
-        if len(endpoints) == 1:
-            weights = [1.0]
-        else:
-            weights = [self._effective_capacity(e) for e in endpoints]
-        total = sum(weights)
+        total = self.total_capacity
         plan: list[_ShardPlan] = []
         start = 0
         cumulative = 0.0
-        for endpoint, weight in zip(endpoints, weights):
-            cumulative += weight
+        for endpoint in self._endpoints:
+            cumulative += endpoint.capacity
             stop = round(batch * cumulative / total)
             if stop > start:
                 plan.append(_ShardPlan(endpoint=endpoint, start=start, stop=stop))
@@ -949,7 +838,7 @@ class InferenceGateway:
         shed: GatewayEndpoint,
         exclude: Sequence[GatewayEndpoint] = (),
     ) -> GatewayEndpoint | None:
-        """The least-backlogged *other* endpoint, or None when alone.
+        """The *other* endpoint with the fewest in-flight shards, or None when alone.
 
         ``exclude`` names further endpoints to avoid — a hedge must not
         land on an endpoint already attempting this very shard.
@@ -959,9 +848,10 @@ class InferenceGateway:
         candidates = [e for e in self._endpoints if id(e) not in excluded]
         if not candidates:
             return None
-        # Least backlog first; static capacity breaks ties (deterministic:
-        # min() keeps the earliest endpoint on full ties).
-        return min(candidates, key=lambda e: (self._backlog_of(e), -e.capacity))
+        # Fewest in-flight shards first; static capacity breaks ties
+        # (deterministic: min() keeps the earliest endpoint on full ties).
+        with self._load_lock:
+            return min(candidates, key=lambda e: (e.inflight, -e.capacity))
 
     def submit(
         self, request: InferenceRequest, *, deadline_s: float | None = None

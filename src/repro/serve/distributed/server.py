@@ -41,7 +41,8 @@ waiting work with ``deadline_exceeded`` (checked on every queue sweep and
 again immediately before dispatch), and the ``cancel`` op removes a
 connection's own queued request.  Live load (``queue_depth``,
 ``inflight``) and the shed/expired/cancelled counters are exported through
-the ``info`` op, which is what the gateway's adaptive sharding feeds on.
+the ``info`` op for operators; the gateway shards by static capacity and
+never polls them.
 
 The payloads are exactly the serve-schema dicts with their arrays kept raw,
 so a response read off the wire is lossless (`InferenceResponse.from_dict`),
@@ -263,7 +264,7 @@ class ChipServer:
         #: Prometheus endpoint.  Per-instance — never the process default —
         #: so two servers in one test process cannot share counters, and
         #: always enabled unless the caller injects a disabled registry
-        #: (``info``'s counters are load-bearing for the gateway).
+        #: (``info``'s counters and the drain ack's final snapshot read it).
         self.metrics = registry if registry is not None else MetricsRegistry(enabled=True)
         self._m_requests = self.metrics.counter(
             "repro_server_requests_total", "infer requests served"
@@ -436,9 +437,8 @@ class ChipServer:
             # its worker count.
             "capacity": jobs,
             "max_batch": self.max_batch,
-            # Live load: admitted-but-undispatched requests and requests on
-            # the work thread right now.  The gateway discounts its static
-            # capacity weights by these.
+            # Live load for operators: admitted-but-undispatched requests
+            # and requests on the work thread right now.
             "queue_depth": self._backlog,
             "inflight": self._inflight,
             "max_queue": self.max_queue,

@@ -983,22 +983,6 @@ class TestAsyncGateway:
             _assert_identical(want, got)
 
 
-class _BackloggedTarget:
-    """Local session reporting a scripted backlog through the info op."""
-
-    capacity = 1
-
-    def __init__(self, session: ChipSession, backlog: float):
-        self._session = session
-        self.backlog = backlog
-
-    def info(self, refresh: bool = False, *, timeout: float | None = None):
-        return {"queue_depth": self.backlog, "inflight": 0}
-
-    def infer(self, request):
-        return self._session.infer(request)
-
-
 class _SheddingTarget:
     """Endpoint whose server always sheds (structured overloaded error)."""
 
@@ -1013,26 +997,6 @@ class _SheddingTarget:
             "server queue is full (1/1 requests waiting); request shed",
             code=ERROR_OVERLOADED,
         )
-
-
-class _InfoProbeRecorder:
-    """A pipelined-remote-shaped target recording how its info is polled."""
-
-    capacity = 1
-
-    def __init__(self, session: ChipSession):
-        self._session = session
-        self.timeouts: list[float | None] = []
-        self.fail_polls = False
-
-    def info(self, refresh: bool = False, *, timeout: float | None = None):
-        self.timeouts.append(timeout)
-        if self.fail_polls:
-            raise TimeoutError("wedged endpoint never answered info")
-        return {"queue_depth": 2, "inflight": 1}
-
-    def infer(self, request):
-        return self._session.infer(request)
 
 
 class _DeadlineRecorder:
@@ -1054,90 +1018,46 @@ class _DeadlineRecorder:
         return self._session.infer(request)
 
 
-class TestAdaptiveGateway:
-    def test_backlogged_endpoint_receives_fewer_samples(
-        self, workload, single_session
-    ):
-        _, _, inputs, labels = workload
-        idle = _BackloggedTarget(_fresh_session(workload), backlog=0.0)
-        busy = _BackloggedTarget(_fresh_session(workload), backlog=3.0)
-        with InferenceGateway(
-            [
-                GatewayEndpoint(target=idle, capacity=1, name="idle"),
-                GatewayEndpoint(target=busy, capacity=1, name="busy"),
-            ],
-            load_poll_s=3600.0,
-        ) as gateway:
-            # Hints come from the background refresher, never the submit
-            # path; force one sweep so the plan sees the scripted backlog.
-            gateway.refresh_load_hints()
-            plan = gateway.shard_plan(12)
-            sizes = {p.endpoint.name: p.stop - p.start for p in plan}
-            # Effective capacities 1 vs 1/4: the busy endpoint's share drops
-            # from the static 6 to round(12 * 0.2) ≈ 2.
-            assert sizes["idle"] > sizes["busy"]
-            # Adaptivity changes placement, never numbers.
-            request = InferenceRequest(inputs=inputs, labels=labels)
-            _assert_identical(single_session.infer(request), gateway.infer(request))
-
-    def test_adaptive_off_restores_static_plan(self, workload):
-        idle = _BackloggedTarget(_fresh_session(workload), backlog=0.0)
-        busy = _BackloggedTarget(_fresh_session(workload), backlog=9.0)
-        with InferenceGateway(
-            [
-                GatewayEndpoint(target=idle, capacity=1, name="idle"),
-                GatewayEndpoint(target=busy, capacity=1, name="busy"),
-            ],
-            adaptive=False,
-        ) as gateway:
-            plan = gateway.shard_plan(12)
-            assert [(p.start, p.stop) for p in plan] == [(0, 6), (6, 12)]
-
+class TestPlanRetryAndDeadline:
     def test_idle_endpoints_keep_the_static_plan(self, workload):
-        # Zero backlog everywhere: adaptive must plan exactly like the
-        # static capacity-weighted planner (the historical behaviour).
-        a = _fresh_session(workload)
-        b = _fresh_session(workload)
-        with InferenceGateway(
-            [
-                GatewayEndpoint(target=a, capacity=1, name="a"),
-                GatewayEndpoint(target=b, capacity=3, name="b"),
-            ]
-        ) as gateway:
+        # The plan is a pure function of the batch size and the static
+        # capacities (cumulative rounding); no thread feeds it load figures.
+        endpoints = [
+            GatewayEndpoint(target=_fresh_session(workload), capacity=1, name="a"),
+            GatewayEndpoint(target=_fresh_session(workload), capacity=3, name="b"),
+        ]
+        before = set(threading.enumerate())
+        with InferenceGateway(endpoints) as gateway:
+            assert not set(threading.enumerate()) - before, (
+                "constructing a gateway must start no thread"
+            )
             plan = gateway.shard_plan(13)
             assert [(p.start, p.stop) for p in plan] == [(0, 3), (3, 13)]
 
-    def test_load_polls_are_bounded_and_poll_failures_keep_planning(self, workload):
-        # The info poll runs on the background refresher: it must carry a
-        # hard timeout (one wedged endpoint may not starve the sweep), a
-        # failed poll must keep the previous hint rather than failing the
-        # plan, and planning itself must never poll.
-        from repro.serve.distributed.gateway import LOAD_POLL_TIMEOUT_S
-
-        probe = _InfoProbeRecorder(_fresh_session(workload))
-        other = _fresh_session(workload)
-        with InferenceGateway(
+    def test_busy_endpoint_keeps_the_static_plan(self, workload, single_session):
+        # A shard in flight on one endpoint does not move the next plan.
+        _, _, inputs, labels = workload
+        gates = [_GateTarget(_fresh_session(workload)) for _ in range(2)]
+        gateway = InferenceGateway(
             [
-                GatewayEndpoint(target=probe, capacity=1, name="probed"),
-                GatewayEndpoint(target=other, capacity=1, name="plain"),
-            ],
-            load_poll_s=3600.0,  # the manual sweeps below are the only polls
-        ) as gateway:
-            gateway.refresh_load_hints()
+                GatewayEndpoint(target=gate, capacity=1, name=f"gate{i}")
+                for i, gate in enumerate(gates)
+            ]
+        )
+        request = InferenceRequest(inputs=inputs[:1], labels=labels[:1])
+        try:
+            busy = gateway.shard_plan(1)[0].endpoint
+            parked = gateway.submit(request)
+            assert busy.target.entered.wait(timeout=30)
+            assert gateway.endpoint_loads()[busy.name]["inflight"] == 1
+            # One endpoint busy, one idle: still the static 6/6 split.
             plan = gateway.shard_plan(12)
-            assert probe.timeouts == [LOAD_POLL_TIMEOUT_S]
-            sizes = {p.endpoint.name: p.stop - p.start for p in plan}
-            # Polled backlog 3 discounts the probed endpoint: 1/(1+3) vs 1.
-            assert sizes["plain"] > sizes["probed"]
-            probe.fail_polls = True
-            gateway.refresh_load_hints()  # hint survives the failed poll
-            plan = gateway.shard_plan(12)
-            sizes = {p.endpoint.name: p.stop - p.start for p in plan}
-            assert sizes["plain"] > sizes["probed"]
-            assert len(probe.timeouts) == 2
-            # shard_plan alone never touched the endpoint's info.
-            gateway.shard_plan(12)
-            assert len(probe.timeouts) == 2
+            assert [(p.start, p.stop) for p in plan] == [(0, 6), (6, 12)]
+        finally:
+            for gate in gates:
+                gate.release.set()
+            gateway.close()
+        _assert_identical(single_session.infer(request), parked.result(timeout=30))
 
     def test_shed_shard_retries_on_other_endpoint(self, workload, single_session):
         _, _, inputs, labels = workload

@@ -13,8 +13,8 @@ numbers:
   structured ``draining`` error but answers everything already admitted,
   then its serving loop exits;
 * the **gateway's endpoint plumbing**: a shard shed by a draining server is
-  retried on a sibling with a bit-identical merge, ``submit()`` never polls
-  an endpoint synchronously, and ``close()`` joins the load refresher.
+  retried on a sibling with a bit-identical merge, and the gateway never
+  polls an endpoint.
 """
 
 from __future__ import annotations
@@ -239,7 +239,7 @@ class TestDrainOp:
 # -- the gateway's endpoint plumbing -----------------------------------------------
 
 
-class TestGatewayShedRetryAndLoadRefresh:
+class TestGatewayShedRetryAndNoPolls:
     def test_draining_server_sheds_onto_sibling(self, workload, single_session):
         """A racing scale-down's ``draining`` error retries on a sibling."""
         _, _, inputs, _ = workload
@@ -265,7 +265,6 @@ class TestGatewayShedRetryAndLoadRefresh:
                 GatewayEndpoint(target=_fresh_session(workload), name="sibling"),
             ],
             name="drain-shed",
-            load_poll_s=3600.0,
         ) as gateway:
             response = gateway.infer(request)
         assert draining.calls == 1
@@ -278,7 +277,7 @@ class TestGatewayShedRetryAndLoadRefresh:
         assert retried, f"expected a retried shard: {response.metadata}"
 
     def test_submit_never_polls_endpoints_synchronously(self, workload):
-        """The submit path reads cached hints only; polls live on the refresher."""
+        """The gateway plans from static capacities and never polls ``info``."""
         _, _, inputs, _ = workload
 
         class _PollRecorder:
@@ -305,31 +304,9 @@ class TestGatewayShedRetryAndLoadRefresh:
                 for i, recorder in enumerate(recorders)
             ],
             name="no-sync-polls",
-            load_poll_s=3600.0,
         ) as gateway:
             for _ in range(3):
                 gateway.infer(InferenceRequest(inputs=inputs[:8]))
-            assert [r.polls for r in recorders] == [0, 0], (
-                "submit() must never poll an endpoint synchronously"
-            )
-            gateway.refresh_load_hints()
-            assert [r.polls for r in recorders] == [1, 1]
-
-    def test_close_joins_the_load_refresher(self, workload):
-        """No daemon-thread leak: close() stops and joins the refresher."""
-        for cycle in range(3):
-            name = f"refresh-close-{cycle}"
-            gateway = InferenceGateway(
-                [GatewayEndpoint(target=_fresh_session(workload), name="a")],
-                name=name,
-                load_poll_s=0.01,
-            )
-            thread_name = f"{name}-load-refresh"
-            assert any(
-                t.name == thread_name for t in threading.enumerate()
-            ), "adaptive gateway must run a load refresher"
-            gateway.close()
-            assert not any(
-                t.name == thread_name and t.is_alive()
-                for t in threading.enumerate()
-            ), "close() must join the refresher thread"
+        assert [r.polls for r in recorders] == [0, 0], (
+            "the gateway must never poll an endpoint"
+        )

@@ -43,6 +43,8 @@ from repro.serve.distributed import (
 from repro.serve.schema import ERROR_OVERLOADED
 from repro.snn import Dense, Network, convert_to_snn
 
+ENERGY_RTOL = 1e-9
+
 
 @pytest.fixture(scope="module")
 def workload():
@@ -79,15 +81,14 @@ class _GatedTarget:
         return self.session.infer(request)
 
 
-def _drain_inflight(gateway: InferenceGateway, timeout_s: float = 30.0) -> None:
-    """Every endpoint's inflight charge must return to zero (no leaks)."""
-    deadline = time.monotonic() + timeout_s
-    while True:
-        loads = gateway.endpoint_loads()
-        if all(load["inflight"] == 0 for load in loads.values()):
-            return
-        assert time.monotonic() < deadline, f"inflight never drained: {loads}"
-        time.sleep(0.01)
+def _assert_no_inflight(gateway: InferenceGateway) -> None:
+    """No attempt leaked its inflight charge.
+
+    Call after ``close()``, which joins every dispatch task, so one read is
+    final.
+    """
+    loads = gateway.endpoint_loads()
+    assert all(load["inflight"] == 0 for load in loads.values()), loads
 
 
 class TestHedgedDispatch:
@@ -100,7 +101,6 @@ class TestHedgedDispatch:
                 GatewayEndpoint(target=gate, name="straggler"),
                 GatewayEndpoint(target=_session(workload), name="sibling"),
             ],
-            adaptive=False,
             hedge_after_s=0.02,
         )
         try:
@@ -111,6 +111,9 @@ class TestHedgedDispatch:
             np.testing.assert_array_equal(
                 response.spike_counts, expected.spike_counts
             )
+            assert abs(response.energy.total_j - expected.energy.total_j) <= (
+                ENERGY_RTOL * expected.energy.total_j
+            ), "hedged merge energy diverged from the single session"
             tail = gateway.tail_stats()
             assert tail["hedges_issued"] == 1
             assert tail["hedge_wins"] == 1
@@ -122,14 +125,14 @@ class TestHedgedDispatch:
             ]
             assert hedged and all(s["endpoint"] == "sibling" for s in hedged)
             assert all(s["hedged_to"] == "sibling" for s in hedged)
-            # The straggler was hedged against: the controller's signal.
+            # The straggler was hedged against: the slow-replica signal.
             assert gateway.endpoint_loads()["straggler"]["hedges"] == 1
         finally:
             gate.release.set()
             # The losing attempt (blocking infer; uncancellable) must still
             # complete, count as wasted compute and release its charge.
-            _drain_inflight(gateway)
             gateway.close()
+        _assert_no_inflight(gateway)
         assert gateway.tail_stats()["hedge_wasted_compute"] == 1
 
     def test_hedge_never_fires_past_deadline(self, workload):
@@ -141,7 +144,6 @@ class TestHedgedDispatch:
                 GatewayEndpoint(target=slow, name="straggler"),
                 GatewayEndpoint(target=_session(workload), name="sibling"),
             ],
-            adaptive=False,
             hedge_after_s=0.05,
         )
         try:
@@ -162,8 +164,8 @@ class TestHedgedDispatch:
             assert gateway.endpoint_loads()["straggler"]["hedges"] == 0
         finally:
             slow.release.set()
-            _drain_inflight(gateway)
             gateway.close()
+        _assert_no_inflight(gateway)
 
     def test_losing_cancel_failure_never_fails_the_request(self, workload):
         snn, config, inputs = workload
@@ -193,7 +195,6 @@ class TestHedgedDispatch:
                 GatewayEndpoint(target=stuck, name="straggler"),
                 GatewayEndpoint(target=_session(workload), name="sibling"),
             ],
-            adaptive=False,
             hedge_after_s=0.02,
         )
         try:
@@ -211,8 +212,8 @@ class TestHedgedDispatch:
             # Unblock the worker parked on the stuck future, then close.
             for future in stuck.futures:
                 future.set_exception(CancelledError())
-            _drain_inflight(gateway)
             gateway.close()
+        _assert_no_inflight(gateway)
 
 
 class _AlwaysShedTarget:
@@ -250,7 +251,6 @@ class TestRetryBudgets:
                 GatewayEndpoint(target=flaky, capacity=100, name="flaky"),
                 GatewayEndpoint(target=_session(workload), capacity=1, name="ok"),
             ],
-            adaptive=False,
         )
         budget = RetryBudget(2, backoff_base_s=0.001, backoff_cap_s=0.002)
         request = InferenceRequest(inputs=inputs).with_retry_budget(budget)
@@ -273,7 +273,6 @@ class TestRetryBudgets:
                 GatewayEndpoint(target=shed_a, capacity=100, name="a"),
                 GatewayEndpoint(target=shed_b, capacity=1, name="b"),
             ],
-            adaptive=False,
         )
         budget = RetryBudget(2, backoff_base_s=0.001, backoff_cap_s=0.002)
         request = InferenceRequest(inputs=inputs).with_retry_budget(budget)
@@ -287,7 +286,7 @@ class TestRetryBudgets:
         tail = gateway.tail_stats()
         assert tail["retries"] == 1
         assert tail["budget_exhausted"] == 1
-        _drain_inflight(gateway, timeout_s=5.0)
+        _assert_no_inflight(gateway)
 
     def test_default_budget_allows_one_retry_per_shard(self, workload):
         """Without a request budget, a request gets ``1 + shards`` attempts."""
@@ -298,14 +297,13 @@ class TestRetryBudgets:
                 GatewayEndpoint(target=shed_a, capacity=1, name="a"),
                 GatewayEndpoint(target=shed_b, capacity=1, name="b"),
             ],
-            adaptive=False,
         )
         with gateway:
             future = gateway.submit(InferenceRequest(inputs=inputs))
             with pytest.raises(RetryBudgetExhausted) as excinfo:
                 future.result(timeout=60)
             assert excinfo.value.attempts == 3
-            _drain_inflight(gateway)
+        _assert_no_inflight(gateway)
         # Two planned dispatches plus the two budgeted retries; each shard
         # then finds the pooled budget dry.
         assert shed_a.calls + shed_b.calls == 4
