@@ -1,19 +1,20 @@
 """Hedged-dispatch benchmark: straggler mitigation vs plain sharding.
 
-The tail-at-scale failure mode: one slow replica in an otherwise healthy
-fleet drags *every* fan-out request's latency to the straggler's, because a
-merged response is only as fast as its slowest shard.  Hedging converts
+The tail-at-scale failure mode: one slow server among healthy ones drags
+*every* fan-out request's latency to the straggler's, because a merged
+response is only as fast as its slowest shard.  Hedging converts
 that tail into a bounded detour — a shard stuck past ``hedge_after_s`` is
 duplicated onto the least-loaded sibling, the first result wins and the
 loser is cancelled over the wire.
 
 The straggler is scripted, so the measurement is machine-independent: three
-real replica processes, two fast and one with a scripted 350ms per-dispatch
-delay (``ReplicaSpec.dispatch_delay_s`` — results are unchanged), driven
-through two gateways over the *same* replica clients:
+chip servers on real sockets, two fast and one whose target sleeps a
+scripted 350ms before every dispatch (results are unchanged), each behind a
+:class:`PipelinedSession` — so a losing hedge is revoked with a wire
+``cancel`` — and driven through two gateways over the *same* clients:
 
 * **unhedged** — ``hedge_after_s=None``: every request waits out the slow
-  replica's shard, so p95 ~ the scripted delay;
+  server's shard, so p95 ~ the scripted delay;
 * **hedged** — ``hedge_after_s=0.08``: the slow shard is re-dispatched to
   a fast sibling after 80ms and wins there.
 
@@ -38,24 +39,36 @@ import pytest
 
 from repro.core import ArchitectureConfig
 from repro.serve import ChipSession, InferenceRequest
-from repro.serve.distributed.executors import SessionSpec
+from repro.serve.distributed import ChipServer, PipelinedSession
 from repro.serve.distributed.gateway import GatewayEndpoint, InferenceGateway
-from repro.serve.fleet import ReplicaManager, ReplicaSpec
 
-#: Scripted artificial latency per dispatch in the one slow replica.
+#: Scripted artificial latency per dispatch in the one slow server.
 STRAGGLER_DELAY_S = 0.35
-#: Straggler threshold for the hedged run: well past a fast replica's
+#: Straggler threshold for the hedged run: well past a fast server's
 #: dispatch, well before the scripted straggler delay.
 HEDGE_AFTER_S = 0.08
 REQUESTS = 10
 #: Six samples split evenly across three equal-capacity endpoints, so the
-#: slow replica receives a shard of every request.
+#: slow server receives a shard of every request.
 SAMPLES_PER_REQUEST = 6
+
+
+class _DelayedTarget:
+    """A scripted straggler: sleeps before every dispatch, results unchanged."""
+
+    def __init__(self, session: ChipSession, delay_s: float):
+        # ``session`` is where the server's ``info`` reads backend/timesteps.
+        self.session = session
+        self.delay_s = delay_s
+
+    def infer(self, request: InferenceRequest):
+        time.sleep(self.delay_s)
+        return self.session.infer(request)
 
 
 @pytest.fixture(scope="module")
 def hedging_fleet():
-    """Three live replicas (two fast, one scripted-slow) + ground truth."""
+    """Three live servers (two fast, one scripted-slow) + ground truth."""
     rng = np.random.default_rng(29)
     from repro.snn import Dense, Network, convert_to_snn
 
@@ -76,53 +89,44 @@ def hedging_fleet():
         )
         for i in range(REQUESTS)
     ]
-    primary = ChipSession(snn, config=config, timesteps=4, encoder="poisson", seed=13)
-    assert primary.encoder_state is not None
-    session_spec = SessionSpec(
-        snn=snn,
-        config=primary.config,
-        library=None,
-        timesteps=4,
-        backend="vectorized",
-        seed=13,
-        encoder_state=primary.encoder_state,
-    )
-    serial = ChipSession(snn, config=config, timesteps=4, encoder="poisson", seed=13)
+
+    def session() -> ChipSession:
+        return ChipSession(snn, config=config, timesteps=4, encoder="poisson", seed=13)
+
+    serial = session()
     expected = [serial.infer(request) for request in requests]
-
-    def spec(workload: str, delay_s: float) -> ReplicaSpec:
-        return ReplicaSpec(
-            session_spec=session_spec, workload=workload, dispatch_delay_s=delay_s
-        )
-
-    # Two managers because the scripted delay lives on the (frozen) spec:
-    # one boots the fast pair, the other the straggler.
-    fast = ReplicaManager(spec("hedge-fast", 0.0))
-    slow = ReplicaManager(spec("hedge-slow", STRAGGLER_DELAY_S))
+    targets = {
+        "slow": _DelayedTarget(session(), STRAGGLER_DELAY_S),
+        "fast-1": session(),
+        "fast-2": session(),
+    }
+    servers, clients = [], {}
     try:
-        replicas = [
-            slow.start_replica(),
-            fast.start_replica(),
-            fast.start_replica(),
-        ]
-        yield replicas, requests, expected
+        for name, target in targets.items():
+            servers.append(ChipServer(target, port=0, workload=f"hedge-{name}").start())
+            clients[name] = PipelinedSession.connect(
+                servers[-1].address, connections=1
+            )
+        yield clients, requests, expected
     finally:
-        fast.stop_all()
-        slow.stop_all()
+        for client in clients.values():
+            client.close()
+        for server in servers:
+            server.close()
 
 
-def _drive(replicas, requests, expected, hedge_after_s: float | None) -> dict:
+def _drive(clients, requests, expected, hedge_after_s: float | None) -> dict:
     """Sequential closed-loop drive through one gateway; exactness inline.
 
     Fresh :class:`GatewayEndpoint` objects per run (they carry mutable load
-    state) over the *same* replica clients, so both runs measure identical
-    replicas.  ``close(close_endpoints=False)`` — the default — leaves the
+    state) over the *same* server clients, so both runs measure identical
+    servers.  ``close(close_endpoints=False)`` — the default — leaves the
     clients open for the other run.
     """
     gateway = InferenceGateway(
         [
-            GatewayEndpoint(target=replica.client, name=replica.replica_id)
-            for replica in replicas
+            GatewayEndpoint(target=client, name=name)
+            for name, client in clients.items()
         ],
         name=f"bench-hedging-{'on' if hedge_after_s else 'off'}",
         hedge_after_s=hedge_after_s,
@@ -161,9 +165,9 @@ def _drive(replicas, requests, expected, hedge_after_s: float | None) -> dict:
 
 def test_bench_hedging_beats_straggler_p95(hedging_fleet):
     """Hedged p95 beats hedging-off against the same scripted straggler."""
-    replicas, requests, expected = hedging_fleet
-    unhedged = _drive(replicas, requests, expected, hedge_after_s=None)
-    hedged = _drive(replicas, requests, expected, hedge_after_s=HEDGE_AFTER_S)
+    clients, requests, expected = hedging_fleet
+    unhedged = _drive(clients, requests, expected, hedge_after_s=None)
+    hedged = _drive(clients, requests, expected, hedge_after_s=HEDGE_AFTER_S)
     print(
         f"\nhedging ({REQUESTS} requests, "
         f"{STRAGGLER_DELAY_S * 1e3:.0f}ms straggler, "
@@ -178,7 +182,7 @@ def test_bench_hedging_beats_straggler_p95(hedging_fleet):
         "a hedging-off gateway must never issue a hedge"
     )
     if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("hedging latency thresholds need >= 2 cores (replica processes)")
+        pytest.skip("hedging latency thresholds need >= 2 cores")
     assert hedged["hedges_issued"] >= 1, "the straggler never tripped a hedge"
     assert hedged["hedge_wins"] >= 1, "no hedge ever beat the straggler"
     assert hedged["wait_p95_s"] < unhedged["wait_p95_s"], (

@@ -33,8 +33,8 @@ Quickstart::
     response = future.result()
 
 ``python -m repro.serve.distributed serve --workload mnist-mlp`` runs the
-daemon from the command line; ``infer`` and ``smoke`` client subcommands
-live alongside it (see :mod:`~repro.serve.distributed.cli`).
+daemon from the command line, and ``infer`` sends it one batch (see
+:mod:`~repro.serve.distributed.cli`).
 """
 
 from repro.serve.distributed.client import (

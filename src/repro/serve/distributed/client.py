@@ -25,7 +25,6 @@ import contextlib
 import itertools
 import socket
 import threading
-import time
 from concurrent.futures import Future, InvalidStateError
 
 from repro.serve.retry import RetryBudget
@@ -121,18 +120,6 @@ def split_endpoints(endpoints: str) -> list[str]:
     for part in parts:
         parse_endpoint(part)  # raises with an actionable message
     return parts
-
-
-def _connect_with_wait(factory, wait: float):
-    """Retry ``factory()`` on connection errors for up to ``wait`` seconds."""
-    deadline = time.monotonic() + wait
-    while True:
-        try:
-            return factory()
-        except OSError:
-            if time.monotonic() >= deadline:
-                raise
-            time.sleep(0.05)
 
 
 def _encode_message(message: dict[str, object]) -> bytes:
@@ -394,16 +381,12 @@ class PipelinedSession:
         *,
         connections: int = 2,
         timeout: float = 120.0,
-        wait: float = 0.0,
     ) -> "PipelinedSession":
-        """Connect to ``"host:port"`` (or a tuple), waiting out a server boot."""
+        """Connect to ``"host:port"`` (or a ``(host, port)`` tuple)."""
         host, port = (
             parse_endpoint(endpoint) if isinstance(endpoint, str) else endpoint
         )
-        return _connect_with_wait(
-            lambda: cls(host, port, connections=connections, timeout=timeout),
-            wait,
-        )
+        return cls(host, port, connections=connections, timeout=timeout)
 
     # -- connection pool ----------------------------------------------------------
 

@@ -51,13 +51,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SessionSpec:
-    """Picklable recipe for building interchangeable worker sessions.
+    """Recipe for building interchangeable worker sessions.
 
-    Everything a pool worker or a replica process needs to build a
-    :class:`ChipSession` whose chip is programmed identically to the pool's
-    primary session.  The spec always carries an explicit
-    :class:`EncoderState` (never a legacy RNG stream), so worker encoding is
-    shard-stable by construction.
+    Everything a pool worker needs to build a :class:`ChipSession` whose
+    chip is programmed identically to the pool's primary session.  The spec
+    always carries an explicit :class:`EncoderState` (never a legacy RNG
+    stream), so worker encoding is shard-stable by construction.
     """
 
     snn: SpikingNetwork

@@ -146,7 +146,7 @@ class GatewayEndpoint:
         default=False, init=False, repr=False, compare=False
     )
     #: Hedges issued *against* this endpoint (its shard straggled and was
-    #: duplicated elsewhere) — the slow-replica signal.
+    #: duplicated elsewhere) — the slow-server signal.
     hedges: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -396,7 +396,6 @@ class _ShardRun:
         self.attempts: list[_ShardAttempt] = []
         self.winner: _ShardAttempt | None = None
         self.hedged = False
-        self.timer: threading.Timer | None = None
 
     # -- launch -------------------------------------------------------------------
 
@@ -406,7 +405,8 @@ class _ShardRun:
         The hedge timer is armed only when a threshold exists *and* it
         precedes the request deadline: past the deadline the server has
         already shed the primary, so a duplicate could never win — a hedge
-        never fires past the request deadline.
+        never fires past the request deadline.  However the run resolves
+        (won, failed or abandoned), resolving ``result`` cancels the timer.
         """
         primary = _ShardAttempt(self.shard.endpoint, hedge=False)
         with self.lock:
@@ -415,15 +415,14 @@ class _ShardRun:
         if threshold is not None and (
             self.deadline_s is None or threshold < self.deadline_s
         ):
-            self.timer = threading.Timer(threshold, self._fire_hedge)
-            self.timer.daemon = True
-            self.timer.start()
+            timer = threading.Timer(threshold, self._fire_hedge)
+            timer.daemon = True
+            self.result.add_done_callback(lambda _done: timer.cancel())
+            timer.start()
         primary.task = self.gateway._threads.submit(self._run_attempt, primary)
 
     def abandon(self) -> None:
         """The merged request no longer wants this shard; revoke best-effort."""
-        if self.timer is not None:
-            self.timer.cancel()
         with self.lock:
             pending = [a for a in self.attempts if not a.ended]
         for attempt in pending:
@@ -560,8 +559,6 @@ class _ShardRun:
         if wasted:
             self.gateway._count_tail("hedge_wasted_compute", self.gateway._m_wasted)
             return
-        if self.timer is not None:
-            self.timer.cancel()
         for loser in losers:
             # Best-effort: a failed cancel must never fail the request.
             if self.gateway._cancel_attempt(loser):
@@ -663,8 +660,8 @@ class InferenceGateway:
             "repro_gateway_merge_seconds", "shard merge wall per request"
         )
         # Plain-int mirrors of the tail counters: load-bearing (tests,
-        # benches, the smoke) even when the metrics registry is the
-        # process-wide disabled default.  Guarded by _load_lock.
+        # benches) even when the metrics registry is the process-wide
+        # disabled default.  Guarded by _load_lock.
         self._tail = {
             "hedges_issued": 0,
             "hedge_wins": 0,

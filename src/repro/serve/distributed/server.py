@@ -214,10 +214,6 @@ class ChipServer:
         degrades gracefully instead of accumulating latency without limit:
         an ``infer`` arriving at a full queue is answered immediately with
         a structured ``overloaded`` error reply.
-    replica_id:
-        Stable identity this server reports in ``info`` (a
-        :class:`~repro.serve.fleet.ReplicaManager` checks it at boot);
-        defaults to the bound ``host:port``.
 
     Use :meth:`serve_forever` to block, or :meth:`start` to serve on a
     background thread; :meth:`close` (or the context manager) tears down
@@ -236,7 +232,6 @@ class ChipServer:
         workload: str = "custom",
         max_batch: int = 8,
         max_queue: int = 0,
-        replica_id: str | None = None,
         metrics_port: int | None = None,
         registry: MetricsRegistry | None = None,
     ):
@@ -256,8 +251,6 @@ class ChipServer:
         self._sock = socket.create_server((host, port), reuse_port=False)
         bound = self._sock.getsockname()[:2]
         self._address = (str(bound[0]), int(bound[1]))
-        #: Stable replica identity (defaults to the bound endpoint).
-        self.replica_id = replica_id or self.endpoint
         #: Per-instance metrics registry: the source of truth for every
         #: serving counter (the legacy ``stats`` dict is a read-only view
         #: over it), exposed through the ``metrics`` wire op and the
@@ -371,11 +364,10 @@ class ChipServer:
 
     @property
     def stats(self) -> dict[str, int]:
-        """The legacy serving counters, as a view over the registry.
+        """The serving counters, as a view over the registry.
 
-        Same keys and values as the historical counter dict — ``info``
-        and drain-ack consumers (``ReplicaManager``, tests) read exactly
-        what they always did; the registry is simply the storage now.
+        ``info`` and the drain acknowledgement carry this dict; the
+        registry is the storage.
         """
         return {
             "requests": int(self._m_requests.value),
@@ -411,7 +403,7 @@ class ChipServer:
         snapshot = self.metrics_snapshot()
         return {
             "schema_version": SCHEMA_VERSION,
-            "replica_id": self.replica_id,
+            "replica_id": self.endpoint,
             "workload": self.workload,
             "snapshot": snapshot,
             "text": render_prometheus(snapshot),
@@ -425,9 +417,9 @@ class ChipServer:
             "schema_version": SCHEMA_VERSION,
             "protocol_version": PROTOCOL_VERSION,
             "workload": self.workload,
-            # Replica identity: what ReplicaManager checks at boot, plus
-            # the lifecycle state a drain flips.
-            "replica_id": self.replica_id,
+            # Process identity (the bound address and pid), plus the
+            # lifecycle state a drain flips.
+            "replica_id": self.endpoint,
             "pid": os.getpid(),
             "state": "draining" if self._draining else "serving",
             "backend": getattr(session, "backend", "unknown"),
@@ -506,9 +498,9 @@ class ChipServer:
             "was_draining": already,
             "pending": self._active_infers,
             # Final observability snapshot, so a drain never discards this
-            # replica's shed/deadline/cancel history: the drain ack is
-            # the last reply the manager is guaranteed to read before the
-            # process exits, and ReplicaManager records both views from it.
+            # server's shed/deadline/cancel history: the drain ack is the
+            # last reply its client is guaranteed to read before the
+            # serving loop exits.
             "stats": dict(self.stats),
             "metrics": self.metrics.snapshot(),
         }

@@ -363,15 +363,14 @@ class _GateTarget:
         return [self.session.infer(request) for request in requests]
 
 
-class TestServerDynamicBatching:
-    def _wait_for_queue(self, server: ChipServer, depth: int) -> None:
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            if server._queue is not None and server._queue.qsize() >= depth:
-                return
-            time.sleep(0.005)
-        raise AssertionError(f"server queue never reached depth {depth}")
+# Admission needs no polling, here or in the load-control tests below: a
+# frame sent after an ``infer`` on the same connection is handled after that
+# infer was admitted (``_admit`` runs in the infer task's first step, tasks
+# start in read order, and the client writes and flushes before ``submit``
+# returns).  One ``info`` or ``ping`` round trip per connection is a barrier.
 
+
+class TestServerDynamicBatching:
     def test_queued_compatible_requests_coalesce(self, workload, single_session):
         _, _, inputs, labels = workload
         gate = _GateTarget(_fresh_session(workload))
@@ -388,7 +387,8 @@ class TestServerDynamicBatching:
                     assert gate.entered.wait(timeout=10), "first dispatch never ran"
                     future_2 = client_a.submit(second)
                     future_3 = client_b.submit(third)
-                    self._wait_for_queue(server, 2)
+                    assert client_b.ping()
+                    assert client_a.info(refresh=True)["queue_depth"] == 2
                     gate.release.set()
                     responses = [
                         future.result(timeout=60)
@@ -412,7 +412,7 @@ class TestServerDynamicBatching:
                 futures = [client.submit(plain)]
                 assert gate.entered.wait(timeout=10), "first dispatch never ran"
                 futures += [client.submit(plain), client.submit(override)]
-                self._wait_for_queue(server, 2)
+                assert client.info(refresh=True)["queue_depth"] == 2
                 gate.release.set()
                 responses = [future.result(timeout=60) for future in futures]
         # The differing timesteps override must stay in its own dispatch.
@@ -443,18 +443,6 @@ class TestServerDynamicBatching:
 
 
 # -- load control: shedding, deadlines, cancellation --------------------------------
-
-
-def _wait_for_info(client: PipelinedSession, predicate, timeout: float = 20.0):
-    """Poll the server's info op until ``predicate(info)`` holds."""
-    deadline = time.monotonic() + timeout
-    info: dict = {}
-    while time.monotonic() < deadline:
-        info = client.info(refresh=True)
-        if predicate(info):
-            return info
-        time.sleep(0.01)
-    raise AssertionError(f"server info never satisfied the predicate; last: {info}")
 
 
 class TestLoadControl:
@@ -501,7 +489,7 @@ class TestLoadControl:
                 admitted_futures = []
                 for depth, request in enumerate(admitted, start=1):
                     admitted_futures.append(client.submit(request))
-                    _wait_for_info(client, lambda i, d=depth: i["queue_depth"] == d)
+                    assert client.info(refresh=True)["queue_depth"] == depth
                 shed_errors = []
                 for request in flood:
                     with pytest.raises(RemoteServerError) as excinfo:
@@ -535,7 +523,7 @@ class TestLoadControl:
                 future_head = client.submit(head)
                 assert gate.entered.wait(timeout=10), "head dispatch never ran"
                 future_doomed = client.submit(doomed, deadline_s=0.2)
-                _wait_for_info(client, lambda i: i["queue_depth"] == 1)
+                assert client.info(refresh=True)["queue_depth"] == 1
                 time.sleep(0.35)  # sail past the deadline while gated
                 gate.release.set()
                 with pytest.raises(RemoteServerError) as excinfo:
@@ -574,11 +562,12 @@ class TestLoadControl:
                 future_head = client.submit(head)
                 assert gate.entered.wait(timeout=10), "head dispatch never ran"
                 future_doomed = client.submit(doomed)
-                _wait_for_info(client, lambda i: i["queue_depth"] == 1)
+                assert client.info(refresh=True)["queue_depth"] == 1
                 assert future_doomed.cancel(), "pending future refused to cancel"
                 with pytest.raises(CancelledError):
                     future_doomed.result(timeout=5)
-                _wait_for_info(client, lambda i: i["stats"]["cancelled"] == 1)
+                # cancel() sent the cancel op before returning.
+                assert client.info(refresh=True)["stats"]["cancelled"] == 1
                 gate.release.set()
                 _assert_identical(
                     single_session.infer(head), future_head.result(timeout=60)
@@ -614,10 +603,7 @@ class TestLoadControl:
                         "infer", request_id="b", request=queued.to_wire_dict()
                     ),
                 )
-                deadline = time.monotonic() + 10
-                while server._backlog < 1:  # noqa: SLF001 - in-process observation
-                    assert time.monotonic() < deadline, "request b never queued"
-                    time.sleep(0.005)
+                # No wait: the cancel frame follows b's, so b is admitted first.
                 frame_io.send(
                     stream, request_envelope("cancel", request_id="c", target="b")
                 )
@@ -1160,9 +1146,9 @@ class TestServeCli:
             ["infer", "--endpoint", "127.0.0.1:7070", "--deadline", "0"],
             ["infer", "--endpoint", "127.0.0.1:7070", "--deadline", "-2"],
             ["infer", "--endpoint", "127.0.0.1:0"],
-            ["smoke", "--timeout", "0"],
             ["serve", "--max-batch", "0"],
             ["serve", "--max-queue", "-1"],
+            ["infer", "--endpoint", "127.0.0.1:7070", "--retry-attempts", "0"],
         ],
     )
     def test_cli_rejects_bad_arguments_early(self, argv):

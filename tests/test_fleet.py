@@ -1,14 +1,12 @@
-"""Replica processes, the graceful drain and the gateway's endpoint plumbing.
+"""Server processes, the graceful drain and the gateway's endpoint plumbing.
 
-Retiring or re-placing work may change *where* samples run, never the
-numbers:
+Retiring a server or re-placing work may change *where* samples run, never
+the numbers:
 
-* **replica lifecycle**: :class:`ReplicaManager` boots real ChipServer
-  processes from a picklable :class:`SessionSpec`, gives each a distinct
-  identity, health-checks them, serves results that match a single
-  :class:`~repro.serve.ChipSession` exactly, drains every replica to exit
-  code 0, and turns a replica that dies while booting into a
-  ``RuntimeError`` with its exit code;
+* a **``serve`` process**: ``python -m repro.serve.distributed serve``
+  reports its identity over ``info``, answers exactly like a local
+  :class:`~repro.serve.ChipSession`, serves its metrics over HTTP, and exits
+  0 after a ``drain`` or a ``shutdown`` op;
 * the **graceful ``drain`` op**: a draining server refuses new work with a
   structured ``draining`` error but answers everything already admitted,
   then its serving loop exits;
@@ -19,13 +17,20 @@ numbers:
 
 from __future__ import annotations
 
-import dataclasses
-import multiprocessing
+import os
+import re
+import select
+import subprocess
+import sys
 import threading
+import time
+import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import ArchitectureConfig
 from repro.serve import ChipSession, InferenceRequest
 from repro.serve.distributed import (
@@ -34,10 +39,9 @@ from repro.serve.distributed import (
     InferenceGateway,
     PipelinedSession,
     RemoteServerError,
+    load_benchmark_workload,
 )
-from repro.serve.distributed.executors import SessionSpec
-from repro.serve.fleet import ReplicaManager, ReplicaSpec
-from repro.serve.schema import ERROR_DRAINING
+from repro.serve.schema import ERROR_DRAINING, PROTOCOL_VERSION
 from repro.snn import Dense, Network, convert_to_snn
 
 ENERGY_RTOL = 1e-9
@@ -83,22 +87,6 @@ def _fresh_session(workload):
     return ChipSession(snn, config=config, timesteps=5, encoder="poisson", seed=21)
 
 
-@pytest.fixture(scope="module")
-def session_spec(workload):
-    snn, config, _, _ = workload
-    primary = ChipSession(snn, config=config, timesteps=5, encoder="poisson", seed=21)
-    assert primary.encoder_state is not None
-    return SessionSpec(
-        snn=snn,
-        config=primary.config,
-        library=None,
-        timesteps=5,
-        backend="vectorized",
-        seed=21,
-        encoder_state=primary.encoder_state,
-    )
-
-
 def _assert_identical(expected, actual):
     np.testing.assert_array_equal(expected.predictions, actual.predictions)
     np.testing.assert_array_equal(expected.spike_counts, actual.spike_counts)
@@ -130,68 +118,101 @@ class _GatedTarget:
         return self._session.infer(request)
 
 
-# -- replica lifecycle --------------------------------------------------------------
+# -- a serve process ----------------------------------------------------------------
+
+#: The served workload: both the child and the local reference build it
+#: (the child from ``serve``'s default ``--seed``).
+SERVE_WORKLOAD = "mnist-mlp"
+SERVE_SCALE = 0.15
+SERVE_SEED = 7
+SERVE_TIMESTEPS = 4
+BOOT_TIMEOUT_S = 120.0
 
 
-class TestReplicaLifecycle:
-    def test_boot_identity_serve_and_drain(self, workload, session_spec, single_session):
-        """Two replicas of one manager: distinct, exact, both drain to exit 0."""
-        _, _, inputs, _ = workload
-        spec = ReplicaSpec(session_spec=session_spec, workload="fleet-test")
-        manager = ReplicaManager(spec, boot_timeout_s=120.0)
-        replicas = []
-        try:
-            replicas = [manager.start_replica(), manager.start_replica()]
-            assert len(manager) == 2
-            assert replicas[0].replica_id != replicas[1].replica_id
-            request = InferenceRequest(inputs=inputs[:6])
-            expected = single_session.infer(request)
-            for replica in replicas:
-                assert replica.alive
-                info = replica.client.info(refresh=True)
-                # The identity the manager checks at boot, plus the state.
-                assert info["replica_id"] == replica.replica_id
-                assert info["pid"] == replica.process.pid
-                assert info["state"] == "serving"
-                _assert_identical(expected, replica.client.infer(request))
-            assert manager.check_health() == {
-                replica.replica_id: True for replica in replicas
-            }
-        finally:
-            manager.stop_all()
-        assert len(manager) == 0
-        for replica in replicas:
-            assert not replica.alive
-            assert replica.exitcode == 0, (
-                f"drained replica {replica.replica_id} exited with "
-                f"{replica.exitcode}"
-            )
+def _read_listening_address(
+    proc: subprocess.Popen, output: bytearray
+) -> tuple[str, int]:
+    """Read the child's output until its ``listening on HOST:PORT`` banner."""
+    deadline = time.monotonic() + BOOT_TIMEOUT_S
+    fd = proc.stdout.fileno()
+    while True:
+        match = re.search(rb"listening on (\S+):(\d+)", output)
+        if match:
+            return match.group(1).decode(), int(match.group(2))
+        remaining = deadline - time.monotonic()
+        assert remaining > 0, f"no listening banner within {BOOT_TIMEOUT_S:.0f}s"
+        ready, _, _ = select.select([fd], [], [], remaining)
+        if ready:
+            chunk = os.read(fd, 65536)
+            assert chunk, f"serve exited with {proc.wait()} before listening"
+            output += chunk
 
-    def test_boot_failure_raises_with_the_exit_code(self, session_spec):
-        """A replica that dies while booting raises with its exit code."""
-        spec = ReplicaSpec(
-            session_spec=dataclasses.replace(session_spec, backend="bogus"),
-            workload="fleet-bogus",
-        )
-        manager = ReplicaManager(spec, boot_timeout_s=120.0)
-        with pytest.raises(RuntimeError, match=r"died during boot \(exit code 1\)"):
-            manager.start_replica()
-        assert len(manager) == 0
-        assert not [
-            child
-            for child in multiprocessing.active_children()
-            if child.name.startswith("chip-replica-fleet-bogus")
+
+class TestServeProcess:
+    @pytest.mark.parametrize("op", ["drain", "shutdown"])
+    def test_serve_answers_like_a_local_session_and_exits_0(self, op):
+        command = [
+            sys.executable, "-m", "repro.serve.distributed", "serve",
+            "--workload", SERVE_WORKLOAD,
+            "--scale", str(SERVE_SCALE),
+            "--timesteps", str(SERVE_TIMESTEPS),
+            "--jobs", "2",
+            "--port", "0",
+            "--metrics-port", "0",
         ]
-
-    def test_drain_of_dead_replica_is_clean(self, session_spec):
-        spec = ReplicaSpec(session_spec=session_spec, workload="fleet-dead")
-        manager = ReplicaManager(spec, boot_timeout_s=120.0)
-        replica = manager.start_replica()
-        replica.process.terminate()
-        replica.process.join(timeout=10)
-        # An already-dead replica drains without raising (health said no).
-        manager.drain_replica(replica, timeout_s=10.0)
-        assert len(manager) == 0
+        src = Path(repro.__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            command,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+        )
+        output = bytearray()
+        try:
+            address = _read_listening_address(proc, output)
+            workload = load_benchmark_workload(
+                SERVE_WORKLOAD, scale=SERVE_SCALE, seed=SERVE_SEED
+            )
+            request = InferenceRequest(
+                inputs=workload.test_inputs[:4], labels=workload.test_labels[:4]
+            )
+            local = ChipSession(
+                workload.snn,
+                timesteps=SERVE_TIMESTEPS,
+                encoder="poisson",
+                seed=SERVE_SEED,
+            )
+            with PipelinedSession.connect(
+                address, connections=1, timeout=30
+            ) as client:
+                info = client.info(timeout=30)
+                assert info["pid"] == proc.pid
+                assert info["state"] == "serving"
+                assert info["protocol_version"] == PROTOCOL_VERSION
+                assert info["workload"] == SERVE_WORKLOAD
+                assert info["jobs"] == 2
+                served = client.submit(request).result(timeout=BOOT_TIMEOUT_S)
+                _assert_identical(local.infer(request), served)
+                with urllib.request.urlopen(
+                    f"http://{info['metrics_endpoint']}/metrics", timeout=30
+                ) as scrape:
+                    text = scrape.read().decode("utf-8")
+                assert "repro_server_requests_total" in text
+                assert "repro_session_plan_cache_misses_total" in text
+                if op == "drain":
+                    assert client.drain_server(timeout=30)["draining"] is True
+                else:
+                    client.shutdown_server()
+            assert proc.wait(timeout=30) == 0
+        except BaseException:
+            if proc.poll() is None:
+                proc.kill()
+            output += proc.stdout.read()
+            print(f"serve output:\n{output.decode(errors='replace')}")
+            raise
+        finally:
+            proc.stdout.close()
+            proc.wait()
 
 
 # -- the graceful drain op ----------------------------------------------------------

@@ -7,7 +7,8 @@ The invariants under test:
   with the hedge recorded in counters, response metadata and the
   per-endpoint hedged-against load signal;
 * a hedge never fires past the request deadline (the timer is simply not
-  armed when the threshold cannot precede it);
+  armed when the threshold cannot precede it), and every armed straggler
+  timer is cancelled once its shard resolves, failures included;
 * cancelling the losing attempt is best-effort — a broken cancel channel
   must never fail a request the winner already answered;
 * shed/drain retries draw from one per-request :class:`RetryBudget`; when
@@ -21,7 +22,6 @@ The invariants under test:
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import CancelledError, Future
 
 import numpy as np
@@ -81,6 +81,27 @@ class _GatedTarget:
         return self.session.infer(request)
 
 
+@pytest.fixture
+def timers(monkeypatch) -> list[threading.Timer]:
+    """Every ``threading.Timer`` built while the test runs (the hedge timers)."""
+    made: list[threading.Timer] = []
+
+    class _RecordedTimer(threading.Timer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(threading, "Timer", _RecordedTimer)
+    return made
+
+
+class _FailingTarget:
+    """Fails every dispatch with an error the gateway does not retry."""
+
+    def infer(self, request: InferenceRequest):
+        raise RuntimeError("endpoint broken")
+
+
 def _assert_no_inflight(gateway: InferenceGateway) -> None:
     """No attempt leaked its inflight charge.
 
@@ -125,7 +146,7 @@ class TestHedgedDispatch:
             ]
             assert hedged and all(s["endpoint"] == "sibling" for s in hedged)
             assert all(s["hedged_to"] == "sibling" for s in hedged)
-            # The straggler was hedged against: the slow-replica signal.
+            # The straggler was hedged against: the slow-server signal.
             assert gateway.endpoint_loads()["straggler"]["hedges"] == 1
         finally:
             gate.release.set()
@@ -135,7 +156,7 @@ class TestHedgedDispatch:
         _assert_no_inflight(gateway)
         assert gateway.tail_stats()["hedge_wasted_compute"] == 1
 
-    def test_hedge_never_fires_past_deadline(self, workload):
+    def test_hedge_never_fires_past_deadline(self, workload, timers):
         snn, config, inputs = workload
         expected = _session(workload).infer(InferenceRequest(inputs=inputs))
         slow = _GatedTarget(_session(workload))
@@ -154,7 +175,8 @@ class TestHedgedDispatch:
             future = gateway.submit(
                 InferenceRequest(inputs=inputs), deadline_s=0.02
             )
-            time.sleep(0.15)  # well past both threshold and deadline
+            # submit() arms every timer it will ever arm before returning.
+            assert timers == []
             slow.release.set()
             response = future.result(timeout=60)
             np.testing.assert_array_equal(response.predictions, expected.predictions)
@@ -165,6 +187,26 @@ class TestHedgedDispatch:
         finally:
             slow.release.set()
             gateway.close()
+        _assert_no_inflight(gateway)
+
+    def test_failed_request_cancels_its_hedge_timers(self, workload, timers):
+        """A shard that fails outright leaves no straggler timer armed."""
+        _, _, inputs = workload
+        gateway = InferenceGateway(
+            [
+                GatewayEndpoint(target=_FailingTarget(), name="a"),
+                GatewayEndpoint(target=_FailingTarget(), name="b"),
+            ],
+            hedge_after_s=5.0,
+        )
+        try:
+            future = gateway.submit(InferenceRequest(inputs=inputs))
+            with pytest.raises(RuntimeError, match="endpoint broken"):
+                future.result(timeout=60)
+        finally:
+            gateway.close()
+        assert len(timers) == 2, "one straggler timer per shard"
+        assert all(timer.finished.is_set() for timer in timers)
         _assert_no_inflight(gateway)
 
     def test_losing_cancel_failure_never_fails_the_request(self, workload):

@@ -15,8 +15,7 @@ Four layers of guarantees:
   legacy ``info`` counters are three views over one registry and must
   agree exactly;
 * **drain snapshot**: a draining server's final counters ride the drain
-  ack, and :class:`ReplicaManager` folds them into ``retired_stats`` so
-  retiring a replica never loses served-request history.
+  ack, so retiring a server never loses served-request history.
 """
 
 from __future__ import annotations
@@ -229,7 +228,7 @@ class TestServedMetrics:
         client.infer(InferenceRequest(inputs=inputs))
         payload = client.metrics()
         assert payload["schema_version"] == 1
-        assert payload["replica_id"] == server.replica_id
+        assert payload["replica_id"] == server.endpoint
         host, port = server.metrics_address
         scraped = (
             urllib.request.urlopen(f"http://{host}:{port}/metrics", timeout=10)
@@ -282,34 +281,3 @@ class TestDrainSnapshot:
             )
         finally:
             server.close()
-
-    def test_replica_manager_records_retired_stats(self):
-        from repro.serve.distributed.executors import SessionSpec
-        from repro.serve.fleet import ReplicaManager, ReplicaSpec
-
-        snn, config, inputs = _workload()
-        primary = ChipSession(snn, config=config, timesteps=4, seed=3)
-        assert primary.encoder_state is not None
-        spec = ReplicaSpec(
-            session_spec=SessionSpec(
-                snn=snn,
-                config=primary.config,
-                library=None,
-                timesteps=4,
-                backend="vectorized",
-                seed=3,
-                encoder_state=primary.encoder_state,
-            ),
-            workload="retire-test",
-        )
-        manager = ReplicaManager(spec, boot_timeout_s=120.0)
-        replica = manager.start_replica()
-        try:
-            replica.client.infer(InferenceRequest(inputs=inputs))
-            replica.client.infer(InferenceRequest(inputs=inputs))
-        finally:
-            manager.drain_replica(replica)
-        assert replica.final_stats is not None
-        assert replica.final_stats["requests"] == 2
-        assert manager.retired_stats["requests"] == 2
-        assert isinstance(replica.final_metrics, dict)
