@@ -1,21 +1,23 @@
 """Wall-clock payoff of the fused kernel over the per-tile loop.
 
 The fused path stores each layer as the chip's crossbar grid and runs
-layer-major over chunks of timesteps — one GEMM per hidden layer on its
-unpadded operands, one per crossbar row block of the output layer — with
-its scratch in the engine's arena and its run state in a reusable
+layer-major over chunks of timesteps — one float32 GEMM of 0/1 spikes with
+the signed conductance levels per hidden layer on its unpadded operands,
+one float64 GEMM per crossbar row block of the output layer — with its
+scratch in the engine's arena and its run state in a reusable
 :class:`~repro.fastpath.plan.KernelPlan`.  The acceptance bar is a >= 1.5x
-speedup over the ``timesteps × layers × tiles`` loop (kept alive as
+speedup over the ``timesteps × layers × tiles`` loop over float64
+conductances (kept alive as
 :meth:`~repro.fastpath.engine.VectorizedChipEngine.run_batch_reference`)
 on a batch of 64, on one BLAS thread in CI so that the floor does not
 measure how a BLAS thread pool splits the hidden layer's larger GEMM.  A
 batch of 64 runs chunks of 4 timesteps (256 rows), so the floor measures
-the grid layout and the chunking together: the kernel's GEMMs are 256
-rows tall where the reference's are 64.  The property suite in
-``tests/test_kernel_fused.py`` holds the outputs to the reference
-(predictions, spike counts and integer counters exact, energy within 1e-9;
-hidden-layer drives may differ in the last bits); here we re-check the
-exact ones on the benchmarked runs.
+the grid layout, the float32 level sums and the chunking together: the
+kernel's GEMMs are 256 rows tall where the reference's are 64.  The
+property suite in ``tests/test_kernel_fused.py`` holds the outputs to the
+reference (predictions, spike counts and integer counters exact, energy
+within 1e-9; hidden-layer drives may differ in the last bits); here we
+re-check the exact ones on the benchmarked runs.
 """
 
 from __future__ import annotations

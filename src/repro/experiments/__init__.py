@@ -22,7 +22,6 @@ from repro.experiments.fig14_precision import (
     run_fig14_accuracy,
     run_fig14_energy,
 )
-from repro.experiments.runner import ExperimentSuiteResult, run_all
 
 __all__ = [
     "ExperimentSettings",
@@ -47,3 +46,14 @@ __all__ = [
     "ExperimentSuiteResult",
     "run_all",
 ]
+
+
+def __getattr__(name: str):
+    # The runner is imported on first use rather than with the package, so
+    # that ``python -m repro.experiments.runner`` executes a module the
+    # package has not already imported.
+    if name in ("ExperimentSuiteResult", "run_all"):
+        from repro.experiments import runner
+
+        return getattr(runner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

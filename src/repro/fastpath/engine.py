@@ -7,16 +7,18 @@ layer evaluates a whole chunk before the next layer runs — valid because
 layer ``l`` at step ``t`` depends only on layer ``l - 1`` at step ``t`` and
 on its own membrane at ``t - 1``:
 
-* a hidden layer is one GEMM of its input with its grid
+* a hidden layer, layer 0 included, is one float32 GEMM of its 0/1 input
+  spikes with its grid of signed conductance levels
   (:attr:`~repro.fastpath.compiler.FusedLayer.matrix`), cut to the layer's
   own ``n_in`` rows and ``n_out`` columns: the padding rows would multiply
-  zero inputs and the padding columns feed no neuron.  The product is
-  scaled and divided by the current LSB in two separate elementwise passes
-  (the layer's tiles share one scale);
-* the output layer runs one GEMM per crossbar row block
-  (:attr:`~repro.fastpath.compiler.FusedLayer.row_blocks`) on a column slice
-  of its input, scales each partial sum the same way and adds it onto the
-  drive in placement order;
+  zero inputs and the padding columns feed no neuron.  One float64 pass
+  multiplies the integer sums by the layer's drive per level
+  (:attr:`~repro.fastpath.compiler.FusedLayer.unit`);
+* the output layer runs one float64 GEMM per crossbar row block
+  (:attr:`~repro.fastpath.compiler.FusedLayer.row_blocks`) of its
+  conductances on a column slice of its input ``spikes × V_read``, scales
+  each partial sum and divides it by the current LSB in two passes, and
+  adds it onto the drive in placement order;
 * active input rows are counted once per row block from the input's nonzero
   mask and priced by the row block's read-cost table;
 * the IF update — :class:`repro.snn.neuron.IFNeuronPool`'s elementwise
@@ -40,21 +42,26 @@ serialized by its lock.
 What is exact, and why.  Predictions, spike counts and every integer event
 counter equal the structural chip's and the per-tile reference loop's;
 crossbar energy agrees within 1e-9 relative (the kernel sums it over
-(row, row block) instead of (row, tile)).  Hidden-layer drives can differ
-from the reference in the last bits: the single GEMM sums the row blocks in
-BLAS order rather than placement order, over ``n_in`` rather than the
-padded rows, and a BLAS product may round a row differently depending on
-the GEMM height — chunking makes the height ``chunk × batch`` where the
-reference multiplies ``batch`` rows (at batch 1 NumPy even hands the
-reference's one-row product to a matrix-vector routine).  Pool sharding
-and server coalescing vary the height the same way.  Those drives reach
-the outputs only through ``membrane >= threshold``.
-The output layer keeps the structural summation order, because its
-membrane breaks ties in ``argmax(spike_counts + 1e-3 · membrane)``.  The IF
-replay is exact (``m - 0.0 == m`` for the neurons that did not fire), and
-so are the chunk counts.  :meth:`VectorizedChipEngine.run_batch_reference`
-keeps the ``timesteps × layers × tiles`` loop alive as the parity oracle
-the property suite checks the kernel against.
+(row, row block) instead of (row, tile)).  Every synapse sits on one of the
+device's conductance levels, so over 0/1 spikes a hidden-layer column
+current is ``V_read`` times one level's conductance times an integer sum of
+levels.  The kernel sums those integers in float32, exactly in any order:
+the compiler checks that every column's ``Σ|level|`` stays below ``2**24``,
+and :meth:`VectorizedChipEngine.run_batch` refuses any train value but 0
+and 1.  So a hidden layer's drives do not depend on the GEMM height (the
+chunk, pool sharding, server coalescing) or on BLAS's order.  ``sum ×
+unit`` can still differ from the structural chip's drive in the last bits,
+since the chip sums float64 conductances tile by tile and rounds each step;
+those drives reach the outputs only through ``membrane >= threshold``.  The
+output layer stays float64 and sums its row blocks in the structural
+placement order, because its membrane breaks ties in
+``argmax(spike_counts + 1e-3 · membrane)``: exact integer sums would tie
+two classes that the chip's float64 sums separate by one ulp.  The IF replay
+is exact (``m - 0.0 == m`` for the neurons that did not fire), and so are
+the chunk counts.  :meth:`VectorizedChipEngine.run_batch_reference` keeps
+the ``timesteps × layers × tiles`` loop over float64 conductances alive as
+the parity oracle the property suite checks the kernel against; like the
+structural chip, it also runs analog trains.
 """
 
 from __future__ import annotations
@@ -96,6 +103,16 @@ def _nonzero_chunk_counts(bits: np.ndarray, chunk_bits: int) -> np.ndarray:
     padded = np.zeros((batch, n_chunks * chunk_bits), dtype=bool)
     padded[:, :n] = bits > 0
     return padded.reshape(batch, n_chunks, chunk_bits).any(axis=2).sum(axis=1)
+
+
+def _write_input(spikes: np.ndarray, x: np.ndarray, voltage: float) -> None:
+    """Write 0/1 spikes as a layer's input: as they are into a hidden
+    layer's float32 buffer, as the read voltage ``spikes * V_read`` into the
+    output layer's float64 one."""
+    if x.dtype == np.float32:
+        np.copyto(x, spikes)
+    else:
+        np.multiply(spikes, voltage, out=x)
 
 
 class VectorizedChipEngine:
@@ -141,11 +158,18 @@ class VectorizedChipEngine:
         engine's :attr:`arena`, grown first if the plan's chunk needs more
         rows.  Returns per-sample output spike counts and predictions plus
         the aggregate :class:`EventCounters` of the run (the same totals the
-        structural chip's components would have accumulated).  Thread-safe:
-        runs on one engine are serialized.
+        structural chip's components would have accumulated).  Raises
+        ``ValueError`` unless every value of the train is 0 or 1, as every
+        encoder emits: the hidden layers sum conductance levels over spikes.
+        Thread-safe: runs on one engine are serialized.
         """
         program = self.program
         train = self._validate_train(spike_train)
+        if ((train != 0.0) & (train != 1.0)).any():
+            raise ValueError(
+                "the vectorized backend runs binary (0/1) spike trains; "
+                "run analog trains through the structural backend"
+            )
         timesteps, batch = train.shape[:2]
         if plan is None:
             plan = KernelPlan(program, batch, timesteps)
@@ -182,7 +206,7 @@ class VectorizedChipEngine:
             if event_driven:
                 io_bus_words += arena.input_word_scratch.count_total(chunk_in)
                 live = arena.input_packet_scratch.count_total(chunk_in)
-            np.multiply(chunk_in, voltage, out=arena.layer_input(0, rows)[:, :n_in])
+            _write_input(chunk_in, arena.layer_input(0, rows)[:, :n_in], voltage)
             for index, layer in enumerate(layers):
                 fused = layer.fused
                 blocks = fused.row_blocks
@@ -207,23 +231,26 @@ class VectorizedChipEngine:
                 crossbar_energy += float(
                     np.take_along_axis(fused.read_cost, active.T, axis=1).sum()
                 )
-                # Currents back to weighted sums: * scale, then / lsb, in two
-                # passes as CrossbarArray.evaluate rounds them.
                 if index < last_index:
-                    # A hidden layer is one GEMM over its grid, cut to the
-                    # layer's rows and columns: the padding rows multiply
-                    # zero inputs and the padding columns feed no neuron.
-                    drive = head(arena.drive, rows, layer.n_out)
+                    # A hidden layer is one GEMM of its 0/1 spikes with its
+                    # levels, cut to the layer's rows and columns (the padding
+                    # rows multiply zero inputs, the padding columns feed no
+                    # neuron): an integer sum, exact in float32, made a drive
+                    # in float64.
+                    sums = head(arena.sums, rows, layer.n_out)
                     np.matmul(
                         x[:, : layer.n_in],
                         fused.matrix[: layer.n_in, : layer.n_out],
-                        out=drive,
+                        out=sums,
                     )
-                    np.multiply(drive, fused.scale, out=drive)
-                    np.divide(drive, lsb, out=drive)
+                    drive = head(arena.drive, rows, layer.n_out)
+                    np.multiply(sums, fused.unit, out=drive, dtype=np.float64)
                 else:
                     # The output layer's membrane breaks prediction ties, so
-                    # its row blocks accumulate in placement order.
+                    # its row blocks accumulate in placement order, and each
+                    # partial sum goes from currents to weighted sums (* scale,
+                    # then / lsb) in two passes as CrossbarArray.evaluate
+                    # rounds them.
                     drive = head(arena.drive, rows, width)
                     partial = head(arena.partial, rows, width)
                     drive.fill(0.0)
@@ -249,9 +276,8 @@ class VectorizedChipEngine:
                 if index < last_index:
                     if event_driven:
                         live = arena.packet_scratch[index].count_total(spikes)
-                    np.multiply(
-                        spikes, voltage, out=arena.layer_input(index + 1, rows)[:, : layer.n_out]
-                    )
+                    next_input = arena.layer_input(index + 1, rows)
+                    _write_input(spikes, next_input[:, : layer.n_out], voltage)
                 else:
                     plan.spike_counts += spikes.reshape(steps, batch, -1).sum(axis=0)
 
@@ -277,25 +303,30 @@ class VectorizedChipEngine:
     # -- reference execution (parity oracle) --------------------------------------
 
     def _layer_drive(
-        self, layer: CompiledLayer, current: np.ndarray, active_row_energy: list[float]
+        self,
+        layer: CompiledLayer,
+        conductances: list[np.ndarray],
+        current: np.ndarray,
+        active_row_energy: list[float],
     ) -> np.ndarray:
         """Weighted sums of one layer for the whole batch (per-tile loop).
 
         Accumulates per-tile partial sums in placement order and records the
         crossbar read energy of every (sample, tile) evaluation via the
-        tiles' active-row cost tables.
+        tiles' active-row cost tables.  ``conductances`` holds each tile's
+        :attr:`~repro.fastpath.compiler.CompiledTile.conductance_diff`.
         """
         program = self.program
         batch = current.shape[0]
         drive = np.zeros((batch, layer.n_out))
-        for index, tile in enumerate(layer.tiles):
-            block = np.zeros((batch, tile.conductance_diff.shape[0]))
+        for tile, conductance in zip(layer.tiles, conductances):
+            block = np.zeros((batch, conductance.shape[0]))
             block[:, : tile.rows] = current[:, tile.row_start : tile.row_stop]
             active_rows = np.count_nonzero(block, axis=1)
             active_row_energy[0] += float(tile.read_cost_j[active_rows].sum())
             # Mirrors CrossbarArray.evaluate: x*V through the differential
             # conductances, then currents back to weighted sums.
-            currents = (block * program.read_voltage_v) @ tile.conductance_diff
+            currents = (block * program.read_voltage_v) @ conductance
             weighted = currents * tile.scale / program.current_lsb_a
             drive[:, tile.column_start : tile.column_stop] += weighted[:, : tile.columns]
         return drive
@@ -308,11 +339,16 @@ class VectorizedChipEngine:
         crossbar energy within 1e-9 relative (the hypothesis suite in
         ``tests/test_kernel_fused.py`` asserts that across randomized
         geometries and chunkings), and the kernel benchmark measures the
-        fused speedup against it.
+        fused speedup against it.  It runs analog trains too, as the
+        structural chip does.
         """
         program = self.program
         train = self._validate_train(spike_train)
         timesteps, batch, _n_in = train.shape
+        # The tiles' float64 conductances, looked up once per run.
+        conductances = [
+            [tile.conductance_diff for tile in layer.tiles] for layer in program.layers
+        ]
 
         # One neuron pool per layer, positionally aligned with the program.
         pools = [
@@ -341,7 +377,9 @@ class VectorizedChipEngine:
                     suppressed_packets += (
                         batch * layer.input_packets * layer.destinations - delivered
                     )
-                drive = self._layer_drive(layer, current, crossbar_energy)
+                drive = self._layer_drive(
+                    layer, conductances[index], current, crossbar_energy
+                )
                 spikes = pools[index].step(drive)
                 if program.event_driven and layer.needs_bus_transfer:
                     io_bus_words += int(

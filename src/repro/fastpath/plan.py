@@ -6,12 +6,13 @@ chunk — ``chunk × batch``, about :data:`CHUNK_ROWS` — rather than by the
 whole spike train.  They split by what they depend on:
 
 * a :class:`KernelArena` holds the scratch, which every chunk writes before
-  it reads: two ping-pong zero-padded layer inputs, one drive, one partial
-  sum (the output layer's row-block products, and the ``fired × threshold``
-  reset of the IF replay), the nonzero mask, the active-row counts, the
-  chunk's spikes, and the event-driven chunk-count scratch of the input
-  train and of each layer's output.  One scratch set serves every layer in
-  turn, and every execution shape: each
+  it reads: two ping-pong zero-padded float32 inputs of the hidden layers
+  and the output layer's float64 one, the hidden layers' float32 level
+  sums, one drive, one partial sum (the output layer's row-block products,
+  and the ``fired × threshold`` reset of the IF replay), the nonzero mask,
+  the active-row counts, the chunk's spikes, and the event-driven
+  chunk-count scratch of the input train and of each layer's output.  One
+  scratch set serves every layer in turn, and every execution shape: each
   :class:`~repro.fastpath.engine.VectorizedChipEngine` owns one arena, sized
   by the tallest chunk it has run, which grows when a plan needs more rows
   and never shrinks;
@@ -114,13 +115,22 @@ class KernelArena:
         self.rows = rows
         grids = [layer.fused.row_blocks.shape for layer in program.layers]
         self._input_widths = [n_blocks * g_rows for n_blocks, g_rows, _ in grids]
-        in_size = rows * max(self._input_widths)
-        out_size = rows * max(width for _, _, width in grids)
         max_blocks = max(n_blocks for n_blocks, _, _ in grids)
         max_out = max(layer.n_out for layer in program.layers)
-        #: Zero-padded layer inputs (``x * V_read``); see :meth:`layer_input`.
-        self.inputs = np.zeros((2, in_size))
-        self.nonzero = np.zeros(in_size, dtype=bool)
+        out_size = rows * max(width for _, _, width in grids)
+        #: Zero-padded inputs of the hidden layers, 0/1 spikes in float32,
+        #: and of the output layer, ``spikes * V_read`` in float64; see
+        #: :meth:`layer_input`.
+        self.spike_inputs = np.zeros(
+            (2, rows * max(self._input_widths[:-1], default=0)), dtype=np.float32
+        )
+        self.output_input = np.zeros(rows * self._input_widths[-1])
+        #: A hidden layer's integer level sums.
+        self.sums = np.zeros(
+            rows * max((layer.n_out for layer in program.layers[:-1]), default=0),
+            dtype=np.float32,
+        )
+        self.nonzero = np.zeros(rows * max(self._input_widths), dtype=bool)
         self.active = np.zeros(rows * max_blocks, dtype=np.int64)
         self.partial = np.zeros(out_size)
         self.drive = np.zeros(out_size)
@@ -151,10 +161,14 @@ class KernelArena:
     def layer_input(self, index: int, rows: int) -> np.ndarray:
         """Layer ``index``'s zero-padded input, ``(rows, R·g_rows)``.
 
-        Layers alternate between the two input buffers, so layer ``index``
-        writes layer ``index + 1``'s input while reading its own.
+        Hidden layers alternate between the two float32 spike buffers, so
+        layer ``index`` writes layer ``index + 1``'s input while reading its
+        own; the output layer reads the float64 one.
         """
-        return head(self.inputs[index % 2], rows, self._input_widths[index])
+        width = self._input_widths[index]
+        if index == len(self._input_widths) - 1:
+            return head(self.output_input, rows, width)
+        return head(self.spike_inputs[index % 2], rows, width)
 
 
 class _LayerState:

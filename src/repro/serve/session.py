@@ -19,9 +19,10 @@ Two encoder regimes are supported:
   simulator facade delegates here, so its results are bit-identical to
   earlier releases.
 
-This module also hosts the backend execution machinery (the structural
-per-sample loop and the vectorized batch dispatch) that
-:class:`~repro.core.simulator.ChipSimulator` is now a thin adapter over.
+This module also hosts the structural backend's per-sample loop
+(:func:`run_structural`); a vectorized session runs its own
+:class:`~repro.fastpath.engine.VectorizedChipEngine`.
+:class:`~repro.core.simulator.ChipSimulator` is a thin adapter over both.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ CONFIG_MISMATCH_ERROR = (
 )
 
 
-# -- backend execution machinery ----------------------------------------------------
+# -- the structural backend ----------------------------------------------------------
 
 
 def gather_chip_counters(chip: ResparcChip) -> EventCounters:
@@ -109,23 +110,6 @@ def run_structural(
         predictions[sample] = int(np.argmax(score))
     counters = gather_chip_counters(chip).difference(baseline)
     return predictions, spike_counts, counters
-
-
-def run_vectorized(
-    chip: ResparcChip, spike_train: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, EventCounters]:
-    """Fast path: compiled chip, whole-batch NumPy execution.
-
-    The compiled program is cached per chip instance, so repeated runs on
-    the same chip pay the compilation cost once.
-    """
-    from repro.fastpath import VectorizedChipEngine
-
-    outcome = VectorizedChipEngine.from_chip(chip).run_batch(spike_train)
-    return outcome.predictions, outcome.spike_counts, outcome.counters
-
-
-_BACKEND_RUNNERS = {"structural": run_structural, "vectorized": run_vectorized}
 
 
 # -- the session --------------------------------------------------------------------
@@ -301,9 +285,7 @@ class ChipSession:
             spike_counts = outcome.spike_counts
             counters = outcome.counters
         else:
-            predictions, spike_counts, counters = _BACKEND_RUNNERS[self.backend](
-                self.chip, spike_train
-            )
+            predictions, spike_counts, counters = run_structural(self.chip, spike_train)
         counters.neuron_spikes += float(spike_counts.sum())
         energy = self.energy_for(counters, batch=x.shape[0], timesteps=timesteps)
         accuracy = None

@@ -1,27 +1,27 @@
 """The fused kernel against the per-tile reference loop.
 
 :meth:`VectorizedChipEngine.run_batch` runs layer-major over chunks of
-timesteps: a hidden layer is one GEMM over its crossbar grid cut to the
-layer's own rows and columns, the output layer one GEMM per crossbar row
-block accumulated in placement order;
-:meth:`VectorizedChipEngine.run_batch_reference` keeps the
-``timesteps × layers × tiles`` loop alive as the parity oracle.  The
-contract: predictions, spike counts and every integer event counter match
-exactly, and the crossbar energy within 1e-9 relative (the kernel sums it
-over (row, row block) rather than (row, tile)).  Hidden-layer drives may
-differ in the last bits — the single GEMM sums the row blocks in BLAS order,
-and a BLAS product can round a row differently at another GEMM height
-(chunking multiplies ``chunk × batch`` rows where the reference multiplies
-``batch``) — which the exact checks would expose if it ever moved a spike.
-The output layer keeps the structural summation order because its membrane
-breaks prediction ties; the IF replay and the chunk counts are exact.  The
-hypothesis suite drives the contract across ragged tile splits, single-tile
-layers, batch 1, batches above one chunk's rows, several chunks with a short
-last one, packet and word widths that split rows into several chunks, and
-both event-driven settings, and holds :class:`ChunkCountScratch` to the
-per-sample chunk count at any width; the deterministic tests pin the plan,
-arena and plan-cache mechanics, the engine's one-run-at-a-time lock and the
-grid layout the compiler accepts.
+timesteps: a hidden layer is one float32 GEMM of 0/1 spikes with its grid
+of signed conductance levels, cut to the layer's own rows and columns, the
+output layer one float64 GEMM per crossbar row block accumulated in
+placement order; :meth:`VectorizedChipEngine.run_batch_reference` keeps the
+``timesteps × layers × tiles`` loop over float64 conductances alive as the
+parity oracle.  The contract: predictions, spike counts and every integer
+event counter match exactly, and the crossbar energy within 1e-9 relative
+(the kernel sums it over (row, row block) rather than (row, tile)).
+Hidden-layer drives may differ in the last bits — the kernel scales an
+exact integer sum of levels once where the reference sums float64
+conductances tile by tile — which the exact checks would expose if it ever
+moved a spike.  The output layer keeps the structural summation order
+because its membrane breaks prediction ties; the IF replay and the chunk
+counts are exact.  The hypothesis suite drives the contract across ragged
+tile splits, single-tile layers, batch 1, batches above one chunk's rows,
+several chunks with a short last one, packet and word widths that split
+rows into several chunks, both event-driven settings and 1-, 4- and 8-bit
+devices, and holds :class:`ChunkCountScratch` to the per-sample chunk count
+at any width; the deterministic tests pin the plan, arena and plan-cache
+mechanics, the engine's one-run-at-a-time lock, the grid layout and the
+level grid the compiler accepts, and the binary trains the kernel accepts.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ArchitectureConfig, ChipSimulator
+from repro.core.resparc import ResparcChip
+from repro.crossbar import DeviceParameters
 from repro.fastpath import (
     ChunkCountScratch,
     KernelPlan,
@@ -47,7 +49,7 @@ from repro.fastpath.plan import CHUNK_ROWS
 from repro.snn import Dense, Network, convert_to_snn
 
 
-def _engine(
+def _chip(
     dims,
     *,
     crossbar,
@@ -56,8 +58,9 @@ def _engine(
     mcas_per_mpe=2,
     packet_bits=32,
     word_bits=64,
+    weight_bits=4,
 ):
-    """A compiled engine for an MLP with the given layer widths."""
+    """A programmed chip for an MLP with the given layer widths."""
     rng = np.random.default_rng(seed)
     layers = []
     for i, (n_in, n_out) in enumerate(zip(dims[:-1], dims[1:])):
@@ -81,9 +84,13 @@ def _engine(
         mcas_per_mpe=mcas_per_mpe,
         packet_bits=packet_bits,
         word_bits=word_bits,
-    )
-    chip = ChipSimulator(config=config).build_chip(snn)
-    return VectorizedChipEngine.from_chip(chip)
+    ).with_weight_bits(weight_bits)
+    return ChipSimulator(config=config).build_chip(snn)
+
+
+def _engine(dims, **options):
+    """A compiled engine for an MLP with the given layer widths."""
+    return VectorizedChipEngine.from_chip(_chip(dims, **options))
 
 
 def _assert_bit_identical(reference, fused):
@@ -114,12 +121,24 @@ class TestFusedKernelProperties:
         seed=st.integers(min_value=0, max_value=2**16),
         packet_bits=st.sampled_from([4, 13, 32]),
         word_bits=st.sampled_from([8, 64]),
+        # The ends and the default of the paper's Fig. 14 precision sweep.
+        weight_bits=st.sampled_from([1, 4, 8]),
     )
     def test_fused_matches_reference(
-        self, dims, crossbar, event_driven, batch, timesteps, seed, packet_bits, word_bits
+        self,
+        dims,
+        crossbar,
+        event_driven,
+        batch,
+        timesteps,
+        seed,
+        packet_bits,
+        word_bits,
+        weight_bits,
     ):
-        """Randomized geometries: ragged splits, tiny layers, batch 1, and
-        packets and words that split a row into several chunks."""
+        """Randomized geometries: ragged splits, tiny layers, batch 1,
+        packets and words that split a row into several chunks, and 1-, 4-
+        and 8-bit devices."""
         engine = _engine(
             tuple(dims),
             crossbar=crossbar,
@@ -127,6 +146,7 @@ class TestFusedKernelProperties:
             seed=seed,
             packet_bits=packet_bits,
             word_bits=word_bits,
+            weight_bits=weight_bits,
         )
         rng = np.random.default_rng(seed + 1)
         train = (rng.random((timesteps, batch, dims[0])) > 0.5).astype(float)
@@ -139,15 +159,20 @@ class TestFusedKernelProperties:
         seed=st.integers(min_value=0, max_value=2**16),
         event_driven=st.booleans(),
     )
-    def test_fractional_intensity_parity(self, seed, event_driven):
-        """Non-binary spike trains (rate-coded intensities) stay identical."""
+    def test_fractional_train_runs_on_the_reference_only(self, seed, event_driven):
+        """A non-binary train (rate-coded intensities) is refused by the
+        fused kernel, whose hidden layers sum levels over 0/1 spikes, and
+        still runs through the reference loop, as through the structural
+        chip."""
         engine = _engine((20, 9, 5), crossbar=8, event_driven=event_driven, seed=seed)
         rng = np.random.default_rng(seed)
         train = rng.random((3, 4, 20))
         train[train < 0.4] = 0.0
-        _assert_bit_identical(
-            engine.run_batch_reference(train), engine.run_batch(train)
-        )
+        with pytest.raises(ValueError, match="structural backend"):
+            engine.run_batch(train)
+        outcome = engine.run_batch_reference(train)
+        assert outcome.spike_counts.shape == (4, 5)
+        assert outcome.predictions.shape == (4,)
 
 
 class TestChunkCountScratch:
@@ -205,14 +230,75 @@ class TestFusedKernelDeterministic:
         assert reused.counters.as_dict() == fresh.counters.as_dict()
 
     def test_tiles_are_views_of_the_layer_grid(self):
-        """The program holds each conductance once, read-only."""
-        engine = _engine((20, 12, 5), crossbar=8, event_driven=True)
-        for layer in engine.program.layers:
+        """The program holds each grid once, read-only: signed levels as
+        float32 in the hidden layers, conductances as float64 in the output
+        layer.  Either way a tile's float64 conductance is its MCA's
+        programmed ``g_positive - g_negative``, exactly."""
+        chip = _chip((20, 12, 9, 5), crossbar=8, event_driven=True)
+        program = compile_chip(chip)
+        dtypes = [layer.fused.grid.dtype for layer in program.layers]
+        assert dtypes == [np.float32, np.float32, np.float64]
+        for layer in program.layers:
             fused = layer.fused
+            assert not fused.grid.flags.writeable
             assert fused.n_tiles == len(layer.tiles)
-            for tile in layer.tiles:
-                assert np.shares_memory(tile.conductance_diff, fused.conductance)
-                assert not tile.conductance_diff.flags.writeable
+            placements = chip.tiles_for_layer(layer.layer_index)
+            for tile, p in zip(layer.tiles, placements, strict=True):
+                assert np.shares_memory(tile.block, fused.grid)
+                assert not tile.block.flags.writeable
+                mpe = chip.neurocells[p.neurocell_index].mpes[p.mpe_index]
+                programmed = mpe.mcas[p.mca_index].programmed
+                conductance = tile.conductance_diff
+                assert conductance.dtype == np.float64
+                np.testing.assert_array_equal(
+                    conductance, programmed.g_positive - programmed.g_negative
+                )
+
+    @pytest.mark.parametrize(
+        "device",
+        [
+            DeviceParameters(write_variation_sigma=0.05),
+            DeviceParameters(stuck_at_on_probability=0.2),
+        ],
+        ids=["write-variation", "stuck-at-on"],
+    )
+    def test_off_level_grid_chip_rejected(self, device):
+        """Programming variation and stuck devices leave conductances off
+        the device's level grid, where integer level sums no longer model
+        the chip: such a chip compiles for the structural backend only."""
+        config = ArchitectureConfig(crossbar_rows=8, crossbar_columns=8, device=device)
+        rng = np.random.default_rng(15)
+        network = Network(
+            (20,),
+            [
+                Dense(20, 12, use_bias=False, rng=rng, name="fc0"),
+                Dense(12, 5, activation=None, use_bias=False, rng=rng, name="out"),
+            ],
+            name="off-grid-mlp",
+        )
+        snn = convert_to_snn(network, rng.random((4, 20)))
+        chip = ResparcChip.from_spiking_network(snn, config=config, rng=rng)
+        with pytest.raises(ValueError, match="level grid.*structural backend"):
+            compile_chip(chip)
+
+    def test_float32_level_sums_stay_exact(self):
+        """A hidden column whose |levels| sum to 2**24 or more could round in
+        float32, so it does not compile: 17 full-scale synapses on a
+        2**20-level device sum to 17 · (2**20 - 1)."""
+        device = DeviceParameters(levels=2**20)
+        config = ArchitectureConfig(crossbar_rows=32, crossbar_columns=32, device=device)
+        rng = np.random.default_rng(16)
+        hidden = Dense(17, 3, use_bias=False, rng=rng, name="fc0")
+        hidden.weights[:] = 1.0
+        network = Network(
+            (17,),
+            [hidden, Dense(3, 2, activation=None, use_bias=False, rng=rng, name="out")],
+            name="wide-level-mlp",
+        )
+        snn = convert_to_snn(network, rng.random((4, 17)))
+        chip = ResparcChip.from_spiking_network(snn, config=config)
+        with pytest.raises(ValueError, match=r"layer 0: .*2\*\*24.*structural backend"):
+            compile_chip(chip)
 
     def test_off_grid_tile_layout_rejected(self):
         """Only the builder's row-major crossbar grid compiles."""

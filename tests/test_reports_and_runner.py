@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.core import ArchitectureConfig, ChipSimulator, ResparcModel
 from repro.experiments import ExperimentSettings, WorkloadContext
 from repro.experiments.runner import main as runner_main
@@ -55,6 +61,24 @@ class TestRunnerCli:
         assert "Fig. 12" in captured
         assert "Fig. 13" in captured
         assert "Fig. 14(b)" in captured
+
+    def test_module_entry_point_runs_without_runtime_warning(self):
+        """``python -m repro.experiments.runner`` must execute a module its
+        package has not imported yet: runpy warns otherwise."""
+        src = Path(repro.__file__).resolve().parent.parent
+        result = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning",
+                "-m", "repro.experiments.runner", "--help",
+            ],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "RuntimeWarning" not in result.stderr
+        assert "--validate-chip" in result.stdout
 
 
 class TestStructuralChipExtras:
