@@ -28,7 +28,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import ArchitectureConfig, ChipSimulator
+from repro.core import ArchitectureConfig, ResparcChip
 from repro.fastpath import KernelPlan, VectorizedChipEngine
 from repro.snn import Dense, Network, convert_to_snn
 
@@ -52,7 +52,7 @@ def kernel_workload():
     )
     snn = convert_to_snn(network, rng.random((24, 196)))
     config = ArchitectureConfig(crossbar_rows=32, crossbar_columns=32)
-    chip = ChipSimulator(config=config).build_chip(snn)
+    chip = ResparcChip.from_spiking_network(snn, config=config, rng=np.random.default_rng(0))
     engine = VectorizedChipEngine.from_chip(chip)
     train = (rng.random((TIMESTEPS, BATCH, 196)) > 0.5).astype(float)
     return engine, train

@@ -15,8 +15,9 @@ import time
 
 import numpy as np
 
-from repro.core import ArchitectureConfig, ChipSimulator
+from repro.core import ArchitectureConfig, ResparcChip
 from repro.datasets import make_dataset
+from repro.serve import ChipSession, InferenceRequest
 from repro.snn import Dense, Network, Trainer, convert_to_snn
 from repro.utils.units import format_energy
 
@@ -44,18 +45,16 @@ def main() -> None:
     batch = test_x[:64]
     labels = dataset.test_labels[:64]
 
+    chip = ResparcChip.from_spiking_network(snn, config=config, rng=np.random.default_rng(0))
+    request = InferenceRequest(inputs=batch, labels=labels)
+
     results = {}
     for backend in ("structural", "vectorized"):
-        simulator = ChipSimulator(
-            config=config,
-            timesteps=16,
-            encoder="poisson",
-            backend=backend,
-            rng=np.random.default_rng(7),
-        )
-        chip = simulator.build_chip(snn)
         start = time.perf_counter()
-        result = simulator.run(snn, batch, labels, chip=chip)
+        session = ChipSession(
+            snn, chip=chip, timesteps=16, encoder="poisson", backend=backend, seed=7
+        )
+        result = session.infer(request)
         elapsed = time.perf_counter() - start
         results[backend] = (result, elapsed)
         print(f"{backend:>11}: {elapsed:6.3f}s for {len(batch)} samples, "

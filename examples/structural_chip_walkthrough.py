@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import ArchitectureConfig, ChipSimulator
+from repro.core import ArchitectureConfig, ResparcChip
 from repro.datasets import make_dataset
+from repro.serve import ChipSession, InferenceRequest
 from repro.snn import Dense, Network, Trainer, convert_to_snn
 from repro.utils.units import format_energy
 
@@ -42,8 +43,7 @@ def main() -> None:
     snn = convert_to_snn(network, train_x[:48])
 
     config = ArchitectureConfig(crossbar_rows=32, crossbar_columns=32)
-    simulator = ChipSimulator(config=config, timesteps=24, encoder="deterministic")
-    chip = simulator.build_chip(snn)
+    chip = ResparcChip.from_spiking_network(snn, config=config, rng=np.random.default_rng(0))
 
     print("Chip organisation")
     print(f"  NeuroCells instantiated : {chip.required_neurocells()}")
@@ -57,7 +57,12 @@ def main() -> None:
             f"mpe{tile.mpe_index}.mca{tile.mca_index}"
         )
 
-    result = simulator.run(snn, test_x[:12], dataset.test_labels[:12], chip=chip)
+    session = ChipSession(
+        snn, chip=chip, timesteps=24, encoder="deterministic", backend="structural"
+    )
+    result = session.infer(
+        InferenceRequest(inputs=test_x[:12], labels=dataset.test_labels[:12])
+    )
     print("\nExecution (12 samples, 24 timesteps each)")
     print(f"  accuracy                : {result.accuracy:.2%}")
     print(f"  crossbar evaluations    : {int(result.counters.crossbar_evaluations)}")

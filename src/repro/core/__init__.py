@@ -5,11 +5,11 @@ Two complementary models are provided:
 * an **analytical activity-based model** (:class:`~repro.core.model.ResparcModel`)
   that evaluates any mapped network (MLP or CNN) from its spike-activity
   trace — this is what regenerates the paper's figures; and
-* a **structural model** (:class:`~repro.core.resparc.ResparcChip` driven by
-  :class:`~repro.core.simulator.ChipSimulator`) that instantiates the actual
-  hierarchy — MCAs inside mPEs inside NeuroCells around a shared bus — and
-  executes MLP spiking networks through it, cross-validating the analytical
-  event accounting.
+* a **structural model** (:class:`~repro.core.resparc.ResparcChip`, run by a
+  :class:`repro.serve.ChipSession`) that instantiates the actual hierarchy —
+  MCAs inside mPEs inside NeuroCells around a shared bus — and executes MLP
+  spiking networks through it, cross-validating the analytical event
+  accounting.
 """
 
 from repro.core.buffers import SpikeBuffer, SpikePacket, TargetBuffer
@@ -20,7 +20,6 @@ from repro.core.model import ResparcEvaluation, ResparcModel
 from repro.core.mpe import MacroProcessingEngine, TileAssignment
 from repro.core.neurocell import NeuroCell
 from repro.core.resparc import ProgrammedTile, ResparcChip
-from repro.core.simulator import CHIP_BACKENDS, ChipRunResult, ChipSimulator, simulate
 from repro.core.stats import EventCounters, counters_to_energy
 from repro.core.switch import ProgrammableSwitch, SwitchPort
 
@@ -41,10 +40,6 @@ __all__ = [
     "NeuroCell",
     "ProgrammedTile",
     "ResparcChip",
-    "CHIP_BACKENDS",
-    "ChipRunResult",
-    "ChipSimulator",
-    "simulate",
     "EventCounters",
     "counters_to_energy",
     "ProgrammableSwitch",

@@ -17,9 +17,9 @@ packets are entirely zero are suppressed (their zero-check energy is still
 charged); when false, every packet moves and every crossbar fires every
 timestep.
 
-The same event counters used here are produced by the structural simulator
-(:mod:`repro.core.simulator`), which is how the two are cross-validated in
-the test suite.
+The same event counters used here are produced by executing the chip
+(:class:`repro.serve.ChipSession`), which is how the two are cross-validated
+in the test suite.
 """
 
 from __future__ import annotations

@@ -17,16 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.baseline import BaselineConfig, BaselineEvaluation, CmosBaselineModel
-from repro.core import (
-    CHIP_BACKENDS,
-    ArchitectureConfig,
-    ChipRunResult,
-    ResparcEvaluation,
-    ResparcModel,
-)
+from repro.core import ArchitectureConfig, ResparcEvaluation, ResparcModel
 from repro.datasets import SyntheticDataset, make_dataset
 from repro.mapping import MappedNetwork, map_network
-from repro.serve import ChipPool, ChipSession, InferenceRequest
+from repro.serve import ChipPool, InferenceRequest, InferenceResponse
+from repro.serve.session import CHIP_BACKENDS
 from repro.snn import (
     ActivityTrace,
     ConversionSpec,
@@ -66,8 +61,8 @@ class ExperimentSettings:
     #: Chip execution backend used by structural cross-validation runs
     #: ("structural" or "vectorized"; see :mod:`repro.fastpath`).
     chip_backend: str = "vectorized"
-    #: Worker sessions for chip runs: 1 runs a single legacy-seeded session,
-    #: > 1 shards each batch across a :class:`repro.serve.ChipPool`.
+    #: Worker sessions of the :class:`repro.serve.ChipPool` that runs each
+    #: chip batch (1 runs one session inline).  Changes speed, never results.
     chip_jobs: int = 1
     #: Optional running chip server(s): one ``host:port`` or a
     #: comma-separated list of them.  When set, chip runs are sent to those
@@ -266,24 +261,20 @@ class WorkloadContext:
         samples: int | None = None,
         jobs: int | None = None,
         endpoint: str | None = None,
-    ) -> ChipRunResult:
+    ) -> InferenceResponse:
         """Run a workload through the serve-layer chip sessions.
 
         This is the experiment-level entry to the cycle-exact chip model: it
-        executes the converted SNN through a :class:`repro.serve.ChipSession`
-        (or, with ``jobs > 1``, shards the batch across the worker threads
-        of a :class:`repro.serve.ChipPool`) and returns measured
-        counters/energy, which cross-validates the analytical activity-based
-        evaluation.  Only MLP workloads are executable on the structural
-        chip.
+        executes the converted SNN on a :class:`repro.serve.ChipPool` of
+        ``jobs`` sessions (``jobs=1`` runs its one session inline) and
+        returns the measured counters/energy, which cross-validates the
+        analytical activity-based evaluation.  Only MLP workloads are
+        executable on the structural chip.
 
         ``backend`` defaults to ``settings.chip_backend``, ``jobs`` to
         ``settings.chip_jobs`` and ``endpoint`` to ``settings.chip_endpoint``.
-        The single-session path encodes from the legacy derived-RNG stream
-        (bit-identical to earlier releases); the pool path uses the
-        shard-stable :class:`repro.snn.EncoderState` seeding, whose Poisson
-        draws differ from the legacy stream but are identical for every
-        ``jobs`` count.
+        Encoding is shard-stable (:class:`repro.snn.EncoderState`, seeded per
+        workload), so every ``jobs`` count returns the same response.
 
         With an ``endpoint`` (one ``"host:port"`` or a comma-separated list),
         the request is routed through pipelined remote sessions and the
@@ -310,31 +301,20 @@ class WorkloadContext:
         config = ArchitectureConfig().with_crossbar_size(crossbar_size).with_event_driven(
             event_driven
         )
-        jobs = s.chip_jobs if jobs is None else jobs
-        if jobs > 1:
-            with ChipPool(
-                workload.snn,
-                jobs=jobs,
-                config=config,
-                timesteps=s.timesteps,
-                encoder="poisson",
-                backend=backend or s.chip_backend,
-                seed=stable_seed(s.seed, "chip", workload.name),
-            ) as pool:
-                return pool.infer(request).as_run_result()
-        session = ChipSession(
+        with ChipPool(
             workload.snn,
+            jobs=s.chip_jobs if jobs is None else jobs,
             config=config,
             timesteps=s.timesteps,
             encoder="poisson",
             backend=backend or s.chip_backend,
-            rng=derive_rng(s.seed, "chip", workload.name),
-        )
-        return session.infer(request).as_run_result()
+            seed=stable_seed(s.seed, "chip", workload.name),
+        ) as pool:
+            return pool.infer(request)
 
     def _evaluate_remote(
         self, workload: PreparedWorkload, request: InferenceRequest, endpoint: str
-    ) -> ChipRunResult:
+    ) -> InferenceResponse:
         """Send one chip run to remote server(s) through the async gateway.
 
         Workload mismatches fail before any batch is sent, naming both
@@ -378,11 +358,7 @@ class WorkloadContext:
             # The deadline guards both ends: the servers' admission control
             # sheds the request if it queues past the deadline, and the
             # result timeout bounds the wait on a wedged server.
-            return (
-                gateway.submit(request, deadline_s=deadline_s)
-                .result(deadline_s)
-                .as_run_result()
-            )
+            return gateway.submit(request, deadline_s=deadline_s).result(deadline_s)
         finally:
             # Close the sessions FIRST: that fails any still-pending shard
             # futures and unblocks the gateway's worker threads, so the

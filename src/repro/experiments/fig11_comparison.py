@@ -121,7 +121,6 @@ def run_fig11(
     crossbar_size: int = 64,
     benchmarks: list[str] | None = None,
     validate_chip: bool = False,
-    jobs: int | None = None,
 ) -> Fig11Result:
     """Reproduce Fig. 11 for the requested benchmarks (default: all six).
 
@@ -129,8 +128,6 @@ def run_fig11(
     chip simulator (backend chosen by ``settings.chip_backend``) and the
     measured per-classification energy is reported next to the analytical
     number — the cross-model check the structural hierarchy exists for.
-    ``jobs > 1`` shards each chip-validation batch across a
-    :class:`repro.serve.ChipPool` (default: ``settings.chip_jobs``).
     """
     context = context or WorkloadContext(settings or ExperimentSettings())
     names = benchmarks or [spec.name for spec in list_benchmarks()]
@@ -150,9 +147,7 @@ def run_fig11(
             # touch the network.
             served = context.served_workload_name()
             if served in (None, "custom", name):
-                chip = context.evaluate_chip(
-                    workload, crossbar_size=crossbar_size, jobs=jobs
-                )
+                chip = context.evaluate_chip(workload, crossbar_size=crossbar_size)
                 samples = max(len(chip.predictions), 1)
                 chip_energy_j = chip.energy.total_j / samples
                 chip_backend = chip.backend

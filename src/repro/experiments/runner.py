@@ -100,8 +100,9 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=int,
         default=None,
-        help="worker sessions for chip runs: > 1 shards each batch across a "
-        "repro.serve.ChipPool (implies --validate-chip)",
+        help="worker sessions for chip runs: each batch is sharded across a "
+        "repro.serve.ChipPool of this many sessions; results are identical "
+        "at every count (implies --validate-chip)",
     )
     parser.add_argument(
         "--endpoint",

@@ -24,8 +24,7 @@ layer, whose membrane breaks prediction ties, keeps the structural float64
 summation order, and the IF replay and the event counts are exact.  Chips
 with analog non-idealities or conductances off the device's level grid,
 and analog spike trains, run through the structural backend only.  Select
-the backend through ``ChipSimulator(backend="vectorized")``
-or the :func:`repro.core.simulator.simulate` facade;
+the backend with ``ChipSession(backend="vectorized")`` (:mod:`repro.serve`);
 ``tests/test_backend_parity.py`` is the contract that keeps the two
 backends equivalent, and ``tests/test_kernel_fused.py`` holds the kernel to
 the per-tile reference loop.

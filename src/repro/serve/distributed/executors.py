@@ -37,7 +37,6 @@ from repro.energy.components import ComponentLibrary
 from repro.serve.schema import InferenceRequest, InferenceResponse
 from repro.serve.session import ChipSession
 from repro.snn.conversion import SpikingNetwork
-from repro.snn.encoding import EncoderState
 
 __all__ = [
     "SessionSpec",
@@ -54,18 +53,17 @@ class SessionSpec:
     """Recipe for building interchangeable worker sessions.
 
     Everything a pool worker needs to build a :class:`ChipSession` whose
-    chip is programmed identically to the pool's primary session.  The spec
-    always carries an explicit :class:`EncoderState` (never a legacy RNG
-    stream), so worker encoding is shard-stable by construction.
+    chip is programmed identically to the pool's primary session and whose
+    encoder state is the primary's, so worker encoding is shard-stable.
     """
 
     snn: SpikingNetwork
     config: ArchitectureConfig
     library: ComponentLibrary | None
     timesteps: int
+    encoder: str
     backend: str
     seed: int
-    encoder_state: EncoderState
 
     def build_session(self, chip: ResparcChip | None = None) -> ChipSession:
         """Build a worker session (optionally reusing a prebuilt chip)."""
@@ -75,9 +73,9 @@ class SessionSpec:
             config=self.config,
             library=self.library,
             timesteps=self.timesteps,
+            encoder=self.encoder,
             backend=self.backend,
             seed=self.seed,
-            encoder_state=self.encoder_state,
         )
 
 

@@ -5,7 +5,8 @@
 workers, inline on the calling thread or on a thread pool.  Each request
 batch is split into contiguous shards, one per worker, and the merged
 response is *result-identical* to running the whole batch on one session
-regardless of the executor:
+with the same seed, whatever the executor and ``jobs`` (``jobs=1`` runs
+that one session inline):
 
 * encoding is shard-stable — every worker derives the pool's
   :class:`~repro.snn.encoding.EncoderState` and receives its shard's
@@ -41,7 +42,6 @@ from repro.serve.metrics import (
 from repro.serve.schema import InferenceRequest, InferenceResponse
 from repro.serve.session import ChipSession
 from repro.snn.conversion import SpikingNetwork
-from repro.snn.encoding import EncoderState
 
 __all__ = ["ChipPool"]
 
@@ -69,7 +69,6 @@ class ChipPool:
         encoder: str = "deterministic",
         backend: str = "vectorized",
         seed: int = 0,
-        encoder_state: EncoderState | None = None,
         executor: str = "thread",
         registry: MetricsRegistry | None = None,
     ):
@@ -102,20 +101,18 @@ class ChipPool:
             encoder=encoder,
             backend=backend,
             seed=seed,
-            encoder_state=encoder_state,
             registry=registry,
         )
         self._primary = primary
-        assert primary.encoder_state is not None  # sessions built here are state-mode
         self._shard_executor.start(
             SessionSpec(
                 snn=snn,
                 config=primary.config,
                 library=library,
                 timesteps=timesteps,
+                encoder=encoder,
                 backend=backend,
                 seed=seed,
-                encoder_state=primary.encoder_state,
             ),
             jobs,
             primary,

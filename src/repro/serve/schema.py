@@ -590,12 +590,12 @@ class InferenceRequest:
 
 @dataclass(frozen=True)
 class InferenceResponse:
-    """Outcome of one served inference batch.
+    """Outcome of one chip inference batch, local or served.
 
-    Mirrors :class:`~repro.core.simulator.ChipRunResult` (predictions, spike
-    counts, accuracy, counters, energy) plus the serving metadata a client
-    needs: the executing backend, the batch size and how many pool workers
-    the batch was sharded across.
+    The chip's answer (predictions, spike counts, accuracy, event counters,
+    energy) plus the serving metadata a client needs: the executing
+    backend, the batch size and how many pool workers the batch was sharded
+    across.  Experiments read it as the result of a chip run.
     """
 
     predictions: np.ndarray
@@ -700,20 +700,6 @@ class InferenceResponse:
     def from_json(cls, payload: str) -> "InferenceResponse":
         """Deserialise from a JSON string; malformed JSON is a ValueError."""
         return cls.from_dict(_load_payload(payload, "response"))
-
-    def as_run_result(self):
-        """Convert to the legacy :class:`~repro.core.simulator.ChipRunResult`."""
-        from repro.core.simulator import ChipRunResult
-
-        return ChipRunResult(
-            predictions=self.predictions,
-            spike_counts=self.spike_counts,
-            accuracy=self.accuracy,
-            counters=self.counters,
-            energy=self.energy,
-            timesteps=self.timesteps,
-            backend=self.backend,
-        )
 
 
 def _check_version(data: dict[str, object]) -> None:

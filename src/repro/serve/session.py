@@ -4,25 +4,19 @@ A :class:`ChipSession` is the service-layer unit of the serving API: it owns
 one programmed :class:`~repro.core.resparc.ResparcChip`, the chip's compiled
 fastpath program (compiled eagerly, cached for the session's lifetime) and
 the encoder state, and answers :class:`~repro.serve.schema.InferenceRequest`
-batches with :class:`~repro.serve.schema.InferenceResponse` results.
+batches with :class:`~repro.serve.schema.InferenceResponse` results.  A
+session, alone or inside a :class:`~repro.serve.pool.ChipPool`, is the one
+way to run the chip.
 
-Two encoder regimes are supported:
-
-* **state mode** (the serving default) — a shard-stable
-  :class:`~repro.snn.encoding.EncoderState` derived from an integer seed.
-  Inference is a pure function of ``(session, request)``: repeated calls
-  return identical responses, and :class:`~repro.serve.pool.ChipPool` can
-  split a batch across sessions without changing a single spike.
-* **legacy stream mode** — an explicit :class:`numpy.random.Generator`
-  whose state advances across calls, reproducing the historical
-  :class:`~repro.core.simulator.ChipSimulator` semantics exactly.  The
-  simulator facade delegates here, so its results are bit-identical to
-  earlier releases.
+Spikes are encoded by a shard-stable
+:class:`~repro.snn.encoding.EncoderState` derived from the session's integer
+seed, so inference is a pure function of ``(session, request)``: repeated
+calls return identical responses, and a pool can split a batch across
+sessions without changing a single spike.
 
 This module also hosts the structural backend's per-sample loop
 (:func:`run_structural`); a vectorized session runs its own
 :class:`~repro.fastpath.engine.VectorizedChipEngine`.
-:class:`~repro.core.simulator.ChipSimulator` is a thin adapter over both.
 """
 
 from __future__ import annotations
@@ -41,19 +35,22 @@ from repro.energy.model import EnergyReport
 from repro.serve.metrics import MetricsRegistry, get_default_registry
 from repro.serve.schema import InferenceRequest, InferenceResponse
 from repro.snn.conversion import SpikingNetwork
-from repro.snn.encoding import DeterministicRateEncoder, EncoderState, PoissonEncoder
+from repro.snn.encoding import EncoderState
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:
     from repro.fastpath.plan import PlanCache
 
-__all__ = ["ChipSession", "CONFIG_MISMATCH_ERROR"]
+__all__ = ["CHIP_BACKENDS", "ChipSession", "CONFIG_MISMATCH_ERROR"]
+
+#: Execution backends a :class:`ChipSession` runs on.
+CHIP_BACKENDS = ("structural", "vectorized")
 
 #: Raised whenever a prebuilt chip is paired with a different configuration.
 CONFIG_MISMATCH_ERROR = (
     "the supplied chip was built for a different ArchitectureConfig "
-    "than this simulator; latency/energy accounting would mix "
+    "than this session; latency/energy accounting would mix "
     "configurations"
 )
 
@@ -124,21 +121,22 @@ class ChipSession:
         The spiking network the chip executes (used for chip construction
         when no prebuilt ``chip`` is given, and for report labelling).
     chip:
-        Optional prebuilt chip.  Must match ``config`` when both are given.
-    config / library / timesteps / encoder / backend:
-        Same meaning as on :class:`~repro.core.simulator.ChipSimulator`.
+        Optional prebuilt chip.  Must match ``config`` when both are given;
+        without ``config`` the session adopts the chip's own.
+    config / library:
+        Architecture and component energies (defaults: ``ArchitectureConfig()``
+        and the default component library).
+    timesteps:
+        Rate-coding window of a request that does not set its own.
+    encoder:
+        ``"poisson"`` or ``"deterministic"`` input spike encoding.
+    backend:
+        One of :data:`CHIP_BACKENDS`: ``"structural"`` walks the component
+        tree one sample at a time, ``"vectorized"`` runs the compiled fast
+        path; both give the same answer.
     seed:
         Seed of the session's deterministic randomness (chip programming and
-        shard-stable spike encoding).  Ignored in legacy stream mode.
-    rng:
-        Legacy stream mode: an explicit generator consumed by chip building
-        and encoding in order, exactly like ``ChipSimulator`` — spike trains
-        depend on call history, so sharding would change results.
-        :class:`~repro.serve.pool.ChipPool` therefore always builds its own
-        state-mode sessions and never uses this mode.
-    encoder_state:
-        Explicit :class:`EncoderState` override (implies state mode);
-        ``encoder``/``seed`` are ignored when it is given.
+        shard-stable spike encoding).
     """
 
     def __init__(
@@ -152,19 +150,11 @@ class ChipSession:
         encoder: str = "deterministic",
         backend: str = "vectorized",
         seed: int = 0,
-        rng: np.random.Generator | None = None,
-        encoder_state: EncoderState | None = None,
         registry: MetricsRegistry | None = None,
     ):
-        from repro.core.simulator import CHIP_BACKENDS
-
         check_positive("timesteps", timesteps)
         if backend not in CHIP_BACKENDS:
             raise ValueError(f"backend must be one of {CHIP_BACKENDS}, got {backend!r}")
-        if encoder not in ("poisson", "deterministic"):
-            raise ValueError(
-                f"encoder must be 'poisson' or 'deterministic', got {encoder!r}"
-            )
         if chip is not None and config is not None and chip.config != config:
             raise ValueError(CONFIG_MISMATCH_ERROR)
 
@@ -173,19 +163,10 @@ class ChipSession:
         self.library = library or DEFAULT_LIBRARY
         self.timesteps = timesteps
         self.backend = backend
-        self._rng = rng
-        if rng is None:
-            self.encoder_state: EncoderState | None = encoder_state or EncoderState(
-                kind=encoder, seed=seed
-            )
-            self.encoder = self.encoder_state.kind
-            build_rng = derive_rng(seed, "chip")
-        else:
-            self.encoder_state = None
-            self.encoder = encoder
-            build_rng = rng
+        # Validates ``encoder`` before the chip is built.
+        self.encoder_state = EncoderState(kind=encoder, seed=seed)
         self.chip = chip or ResparcChip.from_spiking_network(
-            snn, config=self.config, rng=build_rng
+            snn, config=self.config, rng=derive_rng(seed, "chip")
         )
         # Eager, cached compilation plus the session's plan cache: the first
         # request should not pay the lowering cost, every vectorized run
@@ -218,16 +199,6 @@ class ChipSession:
         self._m_plan_misses = self.metrics.counter(
             "repro_session_plan_cache_misses_total", "kernel plans built on miss"
         )
-
-    # -- encoding -----------------------------------------------------------------
-
-    def _encode(self, x: np.ndarray, timesteps: int, sample_offset: int) -> np.ndarray:
-        if self._rng is not None:
-            if self.encoder == "poisson":
-                return PoissonEncoder(rng=self._rng).encode(x, timesteps)
-            return DeterministicRateEncoder().encode(x, timesteps)
-        assert self.encoder_state is not None
-        return self.encoder_state.shard(sample_offset).encode(x, timesteps)
 
     # -- energy -------------------------------------------------------------------
 
@@ -266,7 +237,9 @@ class ChipSession:
         started = time.monotonic()
         timesteps = request.timesteps if request.timesteps is not None else self.timesteps
         x = request.batch
-        spike_train = self._encode(x, timesteps, request.sample_offset)
+        spike_train = self.encoder_state.shard(request.sample_offset).encode(
+            x, timesteps
+        )
         metadata: dict[str, object] = {}
         if self._engine is not None:
             # Vectorized fast path through the session's plan cache: a hit

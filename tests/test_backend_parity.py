@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ArchitectureConfig, ChipSimulator, simulate
+from repro.core import ArchitectureConfig, ResparcChip
+from repro.serve import ChipSession, InferenceRequest
 from repro.snn import Dense, Network, convert_to_snn
 
 #: Counters that are pure integer event counts and must match exactly.
@@ -59,18 +60,32 @@ def _mlp(seed: int, dims: tuple[int, ...]) -> tuple[Network, np.ndarray]:
     return network, rng.random((12, dims[0]))
 
 
+def _build_chip(snn, config):
+    return ResparcChip.from_spiking_network(
+        snn, config=config, rng=np.random.default_rng(0)
+    )
+
+
+def _run(snn, inputs, labels=None, **session_options):
+    """One batch on a fresh :class:`ChipSession` built with ``session_options``."""
+    session = ChipSession(snn, **session_options)
+    return session.infer(InferenceRequest(inputs=inputs, labels=labels))
+
+
 def _run_pair(snn, inputs, labels, *, config, timesteps, encoder, seed):
-    results = []
-    for backend in ("structural", "vectorized"):
-        simulator = ChipSimulator(
+    return [
+        _run(
+            snn,
+            inputs,
+            labels,
             config=config,
             timesteps=timesteps,
             encoder=encoder,
             backend=backend,
-            rng=np.random.default_rng(seed),
+            seed=seed,
         )
-        results.append(simulator.run(snn, inputs, labels))
-    return results
+        for backend in ("structural", "vectorized")
+    ]
 
 
 def _assert_parity(structural, vectorized):
@@ -133,7 +148,7 @@ class TestBackendParity:
         structural, vectorized = _run_pair(
             snn, inputs, None, config=config, timesteps=9, encoder="poisson", seed=5
         )
-        chip = ChipSimulator(config=config).build_chip(snn)
+        chip = _build_chip(snn, config)
         assert chip.required_neurocells() > 1
         _assert_parity(structural, vectorized)
 
@@ -145,14 +160,14 @@ class TestBackendParity:
         snn = convert_to_snn(network, calibration)
         config = ArchitectureConfig(crossbar_rows=16, crossbar_columns=16)
         inputs = np.random.default_rng(9).random((4, 32))
-        chip = ChipSimulator(config=config).build_chip(snn)
-        structural_first = simulate(
+        chip = _build_chip(snn, config)
+        structural_first = _run(
             snn, inputs, backend="structural", config=config, timesteps=8, chip=chip
         )
-        vectorized = simulate(
+        vectorized = _run(
             snn, inputs, backend="vectorized", config=config, timesteps=8, chip=chip
         )
-        structural_again = simulate(
+        structural_again = _run(
             snn, inputs, backend="structural", config=config, timesteps=8, chip=chip
         )
         _assert_parity(structural_first, vectorized)
@@ -182,9 +197,7 @@ class TestChipAccessors:
     def test_public_dimension_accessors(self):
         network, calibration = _mlp(2, (32, 16, 10))
         snn = convert_to_snn(network, calibration)
-        chip = ChipSimulator(
-            config=ArchitectureConfig(crossbar_rows=16, crossbar_columns=16)
-        ).build_chip(snn)
+        chip = _build_chip(snn, ArchitectureConfig(crossbar_rows=16, crossbar_columns=16))
         assert chip.input_dim == 32
         assert chip.output_dim == 10
         assert chip.dims_for(chip.layer_order[0]) == (32, 16)
@@ -199,67 +212,49 @@ class TestChipAccessors:
 
 
 class TestVectorizedBackendGuards:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            ChipSimulator(backend="quantum")
-
     def test_input_width_mismatch_raises(self):
         network, calibration = _mlp(1, (24, 10))
         snn = convert_to_snn(network, calibration)
-        simulator = ChipSimulator(
+        session = ChipSession(
+            snn,
             config=ArchitectureConfig(crossbar_rows=16, crossbar_columns=16),
             timesteps=4,
             backend="vectorized",
         )
         with pytest.raises(ValueError, match="expects"):
-            simulator.run(snn, np.random.default_rng(0).random((2, 30)))
+            session.infer(
+                InferenceRequest(inputs=np.random.default_rng(0).random((2, 30)))
+            )
 
     def test_mismatched_chip_config_rejected(self):
         network, calibration = _mlp(6, (24, 10))
         snn = convert_to_snn(network, calibration)
-        chip = ChipSimulator(
-            config=ArchitectureConfig(crossbar_rows=16, crossbar_columns=16)
-        ).build_chip(snn)
-        other = ChipSimulator(
-            config=ArchitectureConfig(crossbar_rows=32, crossbar_columns=32), timesteps=4
-        )
+        chip = _build_chip(snn, ArchitectureConfig(crossbar_rows=16, crossbar_columns=16))
         with pytest.raises(ValueError, match="different ArchitectureConfig"):
-            other.run(snn, np.zeros((1, 24)), chip=chip)
-        # simulate() without an explicit config adopts the chip's own.
-        result = simulate(snn, np.zeros((1, 24)), chip=chip, timesteps=4)
-        assert result.predictions.shape == (1,)
-
-    def test_simulate_facade_rejects_mismatched_config(self):
-        # The facade must raise the mismatch itself, not hand the wrong
-        # config to a simulator and rely on the run-time check downstream.
-        network, calibration = _mlp(6, (24, 10))
-        snn = convert_to_snn(network, calibration)
-        chip = ChipSimulator(
-            config=ArchitectureConfig(crossbar_rows=16, crossbar_columns=16)
-        ).build_chip(snn)
-        with pytest.raises(ValueError, match="different ArchitectureConfig"):
-            simulate(
+            ChipSession(
                 snn,
-                np.zeros((1, 24)),
-                config=ArchitectureConfig(crossbar_rows=32, crossbar_columns=32),
                 chip=chip,
+                config=ArchitectureConfig(crossbar_rows=32, crossbar_columns=32),
                 timesteps=4,
             )
+        # A session without an explicit config adopts the chip's own.
+        session = ChipSession(snn, chip=chip, timesteps=4)
+        assert session.config == chip.config
+        result = session.infer(InferenceRequest(inputs=np.zeros((1, 24))))
+        assert result.predictions.shape == (1,)
 
     def test_compiled_program_is_cached_per_chip(self):
         from repro.fastpath import compile_chip
 
         network, calibration = _mlp(8, (20, 10))
         snn = convert_to_snn(network, calibration)
-        chip = ChipSimulator(
-            config=ArchitectureConfig(crossbar_rows=16, crossbar_columns=16)
-        ).build_chip(snn)
+        chip = _build_chip(snn, ArchitectureConfig(crossbar_rows=16, crossbar_columns=16))
         assert compile_chip(chip) is compile_chip(chip)
 
     def test_result_records_backend(self):
         network, calibration = _mlp(4, (16, 8))
         snn = convert_to_snn(network, calibration)
-        result = simulate(
+        result = _run(
             snn,
             np.random.default_rng(1).random((2, 16)),
             backend="vectorized",

@@ -280,7 +280,8 @@ class TestMpeAndNeuroCell:
 
     def test_non_square_mpe_count_runs_end_to_end(self):
         # A chip built with 2 mPEs per NeuroCell must program and execute.
-        from repro.core import ArchitectureConfig, simulate
+        from repro.core import ArchitectureConfig
+        from repro.serve import ChipSession, InferenceRequest
         from repro.snn import Dense, Network, convert_to_snn
 
         rng = np.random.default_rng(3)
@@ -298,7 +299,9 @@ class TestMpeAndNeuroCell:
         )
         inputs = rng.random((3, 16))
         results = {
-            backend: simulate(snn, inputs, backend=backend, config=config, timesteps=5)
+            backend: ChipSession(
+                snn, config=config, timesteps=5, backend=backend
+            ).infer(InferenceRequest(inputs=inputs))
             for backend in ("structural", "vectorized")
         }
         np.testing.assert_array_equal(

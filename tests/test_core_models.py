@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import (
     ArchitectureConfig,
-    ChipSimulator,
     EventCounters,
     ResparcChip,
     ResparcModel,
@@ -16,6 +15,7 @@ from repro.core import (
 from repro.crossbar import CrossbarEnergyModel, DeviceParameters
 from repro.energy import DEFAULT_LIBRARY
 from repro.mapping import map_network
+from repro.serve import ChipSession, InferenceRequest
 from repro.snn import Dense, Network, SpikingSimulator, convert_to_snn
 from repro.workloads import build_mnist_cnn, build_mnist_mlp
 
@@ -180,9 +180,13 @@ class TestStructuralChip:
         config = ArchitectureConfig(
             crossbar_rows=16, crossbar_columns=16, device=DeviceParameters(levels=256)
         )
-        simulator = ChipSimulator(config=config, timesteps=12, encoder="deterministic")
-        chip = simulator.build_chip(snn)
-        result = simulator.run(snn, inputs[:2], chip=chip)
+        chip = ResparcChip.from_spiking_network(
+            snn, config=config, rng=np.random.default_rng(0)
+        )
+        session = ChipSession(
+            snn, chip=chip, timesteps=12, encoder="deterministic", backend="structural"
+        )
+        result = session.infer(InferenceRequest(inputs=inputs[:2]))
 
         from repro.snn.encoding import DeterministicRateEncoder
         from repro.snn.neuron import IFNeuronParameters, IFNeuronPool
@@ -202,12 +206,14 @@ class TestStructuralChip:
 
     def test_chip_counters_populated(self, rng):
         snn, inputs = self._small_snn(rng)
-        simulator = ChipSimulator(
+        session = ChipSession(
+            snn,
             config=ArchitectureConfig(crossbar_rows=16, crossbar_columns=16),
             timesteps=6,
             encoder="deterministic",
+            backend="structural",
         )
-        result = simulator.run(snn, inputs[:1])
+        result = session.infer(InferenceRequest(inputs=inputs[:1]))
         assert result.counters.crossbar_evaluations > 0
         assert result.counters.ibuff_accesses > 0
         assert result.counters.io_bus_words > 0
@@ -218,16 +224,12 @@ class TestStructuralChip:
         # activity) but must land within a small factor of each other.
         snn, inputs = self._small_snn(rng)
         config = ArchitectureConfig(crossbar_rows=16, crossbar_columns=16)
-        simulator = ChipSimulator(config=config, timesteps=10, encoder="deterministic")
-        structural = simulator.run(snn, inputs[:2])
+        session = ChipSession(
+            snn, config=config, timesteps=10, encoder="deterministic", backend="structural"
+        )
+        structural = session.infer(InferenceRequest(inputs=inputs[:2]))
 
         functional = SpikingSimulator(timesteps=10, encoder="deterministic").run(snn, inputs[:2])
         analytical = ResparcModel(config=config).evaluate(snn, functional.trace)
         ratio = structural.energy.total_j / analytical.energy_per_classification_j / 2  # 2 samples
         assert 0.2 < ratio < 5.0
-
-    def test_chip_simulator_validation(self):
-        with pytest.raises(ValueError):
-            ChipSimulator(timesteps=0)
-        with pytest.raises(ValueError):
-            ChipSimulator(encoder="other")

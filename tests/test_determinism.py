@@ -1,8 +1,8 @@
 """Determinism: same seed, same results — twice.
 
-Catches shared-RNG ordering bugs (e.g. the :class:`PoissonEncoder` drawing
-from a generator whose consumption order changed) at both the chip level and
-the experiment level.  Every assertion is for *identical* output, not
+Catches seeding bugs (e.g. spike trains that depend on anything but the
+session's seed and each sample's index) at both the chip level and the
+experiment level.  Every assertion is for *identical* output, not
 tolerance-based: a same-seed rerun exercises the exact same code path.
 """
 
@@ -11,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ArchitectureConfig, ChipSimulator
+from repro.core import ArchitectureConfig
 from repro.experiments import ExperimentSettings, WorkloadContext, run_fig11
+from repro.serve import ChipSession, InferenceRequest
 from repro.snn import Dense, Network, convert_to_snn
 
 
@@ -30,15 +31,16 @@ def _snn(seed: int = 21):
 
 
 def _chip_run(backend: str, encoder: str, seed: int):
-    simulator = ChipSimulator(
+    session = ChipSession(
+        _snn(),
         config=ArchitectureConfig(crossbar_rows=16, crossbar_columns=16),
         timesteps=8,
         encoder=encoder,
         backend=backend,
-        rng=np.random.default_rng(seed),
+        seed=seed,
     )
     inputs = np.random.default_rng(1000 + seed).random((5, 40))
-    return simulator.run(_snn(), inputs)
+    return session.infer(InferenceRequest(inputs=inputs))
 
 
 class TestChipDeterminism:
@@ -75,7 +77,7 @@ class TestExperimentDeterminism:
         )
 
     def test_fig11_rerun_is_identical(self):
-        # Fresh contexts (fresh caches, fresh derived RNGs) must reproduce
+        # Fresh contexts (fresh caches, fresh sessions) must reproduce
         # the exact same rendered table, including the chip validation rows.
         tables = []
         for _ in range(2):
@@ -88,7 +90,7 @@ class TestExperimentDeterminism:
 
     def test_chip_validation_backends_agree_in_experiment(self):
         # The experiment-level chip run must be backend-invariant too: the
-        # derived RNG seeds the encoder identically for both backends.
+        # workload's seed encodes identically for both backends.
         results = {}
         for backend in ("structural", "vectorized"):
             context = WorkloadContext(self._settings())

@@ -448,9 +448,11 @@ class TestExperimentWiring:
 
     def test_evaluate_chip_endpoint_roundtrip(self, context):
         # A server wrapping the *same prepared workload* must hand back the
-        # exact numbers a local pooled run produces.
+        # exact numbers a local pooled run produces, and the runner's default
+        # single-session run agrees with both.
         prepared = context.prepare("mnist-mlp")
         local = context.evaluate_chip(prepared, jobs=2)
+        runner_default = context.evaluate_chip(prepared)
         from repro.core import ArchitectureConfig as AC
         from repro.utils.rng import stable_seed
 
@@ -471,6 +473,7 @@ class TestExperimentWiring:
         assert remote.energy.total_j == pytest.approx(
             local.energy.total_j, rel=ENERGY_RTOL
         )
+        _assert_responses_identical(runner_default, remote)
 
     def test_evaluate_chip_endpoint_rejects_wrong_workload(self, context, workload):
         # A single-workload server cannot answer for another benchmark; the

@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ArchitectureConfig, ChipSimulator
+from repro.core import ArchitectureConfig
 from repro.core.resparc import ResparcChip
 from repro.crossbar import DeviceParameters
 from repro.fastpath import (
@@ -85,7 +85,7 @@ def _chip(
         packet_bits=packet_bits,
         word_bits=word_bits,
     ).with_weight_bits(weight_bits)
-    return ChipSimulator(config=config).build_chip(snn)
+    return ResparcChip.from_spiking_network(snn, config=config, rng=np.random.default_rng(0))
 
 
 def _engine(dims, **options):
@@ -310,7 +310,9 @@ class TestFusedKernelDeterministic:
             name="grid-mlp",
         )
         snn = convert_to_snn(network, rng.random((4, 20)))
-        chip = ChipSimulator(config=config).build_chip(snn)
+        chip = ResparcChip.from_spiking_network(
+            snn, config=config, rng=np.random.default_rng(0)
+        )
         chip.tiles.reverse()
         with pytest.raises(ValueError, match="grid block"):
             compile_chip(chip)
@@ -329,7 +331,9 @@ class TestFusedKernelDeterministic:
             name="scale-mlp",
         )
         snn = convert_to_snn(network, rng.random((4, 20)))
-        chip = ChipSimulator(config=config).build_chip(snn)
+        chip = ResparcChip.from_spiking_network(
+            snn, config=config, rng=np.random.default_rng(0)
+        )
         weights = snn.network.layers[0].weights
         for tile in chip.tiles_for_layer(0):
             a = tile.assignment

@@ -11,10 +11,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.core import ArchitectureConfig, ChipSimulator, ResparcModel
+from repro.core import ArchitectureConfig, ResparcChip, ResparcModel
 from repro.experiments import ExperimentSettings, WorkloadContext
 from repro.experiments.runner import main as runner_main
 from repro.mapping import map_network, partition_layer, place_partitions
+from repro.serve import ChipSession, InferenceRequest
 from repro.snn import Dense, Network, convert_to_snn
 from repro.snn.topology import LayerConnectivity
 from repro.workloads import build_mnist_mlp
@@ -89,12 +90,11 @@ class TestStructuralChipExtras:
             name="weights-roundtrip",
         )
         snn = convert_to_snn(network, rng.random((4, 24)))
-        simulator = ChipSimulator(
+        chip = ResparcChip.from_spiking_network(
+            snn,
             config=ArchitectureConfig(crossbar_rows=16, crossbar_columns=16),
-            timesteps=4,
-            encoder="deterministic",
+            rng=np.random.default_rng(0),
         )
-        chip = simulator.build_chip(snn)
         weights = chip.effective_layer_weights(0)
         assert weights.shape == (24, 12)
         # Correlation with the (quantised) source weights should be very high.
@@ -107,12 +107,14 @@ class TestStructuralChipExtras:
             (10,), [Dense(10, 5, activation=None, use_bias=False, rng=rng)], name="single"
         )
         snn = convert_to_snn(network, rng.random((3, 10)))
-        simulator = ChipSimulator(
+        session = ChipSession(
+            snn,
             config=ArchitectureConfig(crossbar_rows=16, crossbar_columns=16),
             timesteps=3,
             encoder="deterministic",
+            backend="structural",
         )
-        result = simulator.run(snn, rng.random(10))
+        result = session.infer(InferenceRequest(inputs=rng.random(10)))
         assert result.predictions.shape == (1,)
 
 

@@ -121,6 +121,10 @@ class TestChipSession:
             InferenceRequest(inputs=inputs, sample_offset=-1)
         with pytest.raises(ValueError, match="backend"):
             ChipSession(snn, config=config, backend="quantum")
+        with pytest.raises(ValueError, match="timesteps"):
+            ChipSession(snn, config=config, timesteps=0)
+        with pytest.raises(ValueError, match="encoder"):
+            ChipSession(snn, config=config, encoder="other")
 
 
 class TestChipPoolParity:
@@ -384,7 +388,9 @@ class TestEncoderState:
 
 
 class TestExperimentIntegration:
-    def test_evaluate_chip_jobs_parity(self):
+    @pytest.fixture(scope="class")
+    def prepared(self):
+        """A prepared workload, its context and one ``jobs=2`` reference run."""
         from repro.experiments import ExperimentSettings, WorkloadContext
 
         settings = ExperimentSettings(
@@ -398,11 +404,11 @@ class TestExperimentIntegration:
         )
         context = WorkloadContext(settings)
         workload = context.prepare("mnist-mlp")
-        sharded = context.evaluate_chip(workload, crossbar_size=32, jobs=2)
-        again = context.evaluate_chip(workload, crossbar_size=32, jobs=4)
-        np.testing.assert_array_equal(sharded.predictions, again.predictions)
-        np.testing.assert_array_equal(sharded.spike_counts, again.spike_counts)
-        assert sharded.accuracy == again.accuracy
-        assert sharded.energy.total_j == pytest.approx(
-            again.energy.total_j, rel=ENERGY_RTOL
-        )
+        return context, workload, context.evaluate_chip(workload, crossbar_size=32, jobs=2)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_evaluate_chip_jobs_parity(self, prepared, jobs):
+        # ``jobs`` (the runner's --jobs) changes speed, never the answer.
+        context, workload, reference = prepared
+        run = context.evaluate_chip(workload, crossbar_size=32, jobs=jobs)
+        _assert_responses_identical(reference, run)
