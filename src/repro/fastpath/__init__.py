@@ -7,12 +7,12 @@ package compiles a programmed chip into dense arrays
 chip's crossbar grid of row blocks × column blocks
 (:class:`~repro.fastpath.compiler.FusedLayer`) — a hidden layer as float32
 signed conductance levels, the output layer as float64 conductances — and
-replays whole batches of 0/1 spike trains through NumPy
-(:class:`~repro.fastpath.engine.VectorizedChipEngine`): layer-major over
-chunks of timesteps, one float32 GEMM per hidden layer on its unpadded
-operands, an exact integer sum, and one float64 GEMM per crossbar row block
-of the output layer.  Work
-buffers live in the engine's one :class:`~repro.fastpath.plan.KernelArena`,
+replays whole batches of 0/1 spike trains, one ``bool`` byte per spike,
+through NumPy (:class:`~repro.fastpath.engine.VectorizedChipEngine`):
+layer-major over chunks of timesteps, one float32 GEMM per hidden layer on
+its unpadded operands, an exact integer sum, and one float64 GEMM per
+crossbar row block of the output layer.  Work buffers live in the engine's
+one :class:`~repro.fastpath.plan.KernelArena`,
 shared by every execution shape; a :class:`~repro.fastpath.plan.KernelPlan`
 keeps one shape's membranes and spike counts, cached per execution shape by
 :class:`~repro.fastpath.plan.PlanCache`.

@@ -5,22 +5,26 @@ over chunks of timesteps**.  A chunk is a run of consecutive timesteps whose
 rows (timesteps × batch) fit :data:`~repro.fastpath.plan.CHUNK_ROWS`.  Each
 layer evaluates a whole chunk before the next layer runs — valid because
 layer ``l`` at step ``t`` depends only on layer ``l - 1`` at step ``t`` and
-on its own membrane at ``t - 1``:
+on its own membrane at ``t - 1``.  A spike is one ``bool`` byte from the
+encoded train to the last layer: each layer reads its input spikes as
+``bool`` (the train's, then the previous layer's output) and writes its own
+output spikes as ``bool``:
 
 * a hidden layer, layer 0 included, is one float32 GEMM of its 0/1 input
-  spikes with its grid of signed conductance levels
-  (:attr:`~repro.fastpath.compiler.FusedLayer.matrix`), cut to the layer's
-  own ``n_in`` rows and ``n_out`` columns: the padding rows would multiply
-  zero inputs and the padding columns feed no neuron.  One float64 pass
-  multiplies the integer sums by the layer's drive per level
+  spikes, copied once into float32, with its grid of signed conductance
+  levels (:attr:`~repro.fastpath.compiler.FusedLayer.matrix`), cut to the
+  layer's own ``n_in`` rows and ``n_out`` columns: the padding rows would
+  multiply zero inputs and the padding columns feed no neuron.  One float64
+  pass multiplies the integer sums by the layer's drive per level
   (:attr:`~repro.fastpath.compiler.FusedLayer.unit`);
 * the output layer runs one float64 GEMM per crossbar row block
   (:attr:`~repro.fastpath.compiler.FusedLayer.row_blocks`) of its
   conductances on a column slice of its input ``spikes × V_read``, scales
   each partial sum and divides it by the current LSB in two passes, and
   adds it onto the drive in placement order;
-* active input rows are counted once per row block from the input's nonzero
-  mask and priced by the row block's read-cost table;
+* active input rows are counted once per row block, ``np.add.reduceat``
+  over the spikes' bytes at the row-block starts (any crossbar height), and
+  priced by the row block's read-cost table;
 * the IF update — :class:`repro.snn.neuron.IFNeuronPool`'s elementwise
   code path for the compiled regime (subtract reset, no leak/refractory) —
   is replayed timestep by timestep, carrying each layer's membrane from
@@ -47,20 +51,30 @@ device's conductance levels, so over 0/1 spikes a hidden-layer column
 current is ``V_read`` times one level's conductance times an integer sum of
 levels.  The kernel sums those integers in float32, exactly in any order:
 the compiler checks that every column's ``Σ|level|`` stays below ``2**24``,
-and :meth:`VectorizedChipEngine.run_batch` refuses any train value but 0
-and 1.  So a hidden layer's drives do not depend on the GEMM height (the
-chunk, pool sharding, server coalescing) or on BLAS's order.  ``sum ×
-unit`` can still differ from the structural chip's drive in the last bits,
-since the chip sums float64 conductances tile by tile and rounds each step;
-those drives reach the outputs only through ``membrane >= threshold``.  The
-output layer stays float64 and sums its row blocks in the structural
-placement order, because its membrane breaks ties in
-``argmax(spike_counts + 1e-3 · membrane)``: exact integer sums would tie
-two classes that the chip's float64 sums separate by one ulp.  The IF replay
-is exact (``m - 0.0 == m`` for the neurons that did not fire), and so are
-the chunk counts.  :meth:`VectorizedChipEngine.run_batch_reference` keeps
-the ``timesteps × layers × tiles`` loop over float64 conductances alive as
-the parity oracle the property suite checks the kernel against; like the
+and the spikes are ``bool`` (:meth:`VectorizedChipEngine.run_batch`
+converts any other train once, refusing any value but 0 and 1).  So a
+hidden layer's drives do not depend on the GEMM height (the chunk, pool
+sharding, server coalescing) or on BLAS's order.  ``sum × unit`` can still
+differ from the structural chip's drive in the last bits, since the chip
+sums float64 conductances tile by tile and rounds each step; those drives
+reach the outputs only through ``membrane >= threshold``.  The output layer
+stays float64 and sums its row blocks in the structural placement order,
+because its membrane breaks ties in ``argmax(spike_counts + 1e-3 ·
+membrane)``: exact integer sums would tie two classes that the chip's
+float64 sums separate by one ulp, and a prototype with them flipped 1
+prediction of 85 in the short-last-chunk test.  For the same reason each
+row block's product keeps all ``C·g_cols`` columns, though only ``n_out``
+feed neurons: cutting the product's width changes its float64 rounding.
+On an AVX-512 Xeon with OpenBLAS 0.3.31, ``x @ B[:, :n_out]`` differed
+from ``(x @ B)[:, :n_out]`` in 538 of 600 row-block products of
+mnist-mlp's 64×64 output layer and in 459 of 504 of cifar10-mlp's 128×128
+one (1–512 rows, spike densities 0.05–0.5), while the scale, divide and add
+passes cost the same on a strided 10-column view as on all 64 contiguous
+columns (20.8 against 20.4 µs per 256-row block).  The IF replay is exact
+(``m - 0.0 == m`` for the neurons that did not fire), and so are the chunk
+counts.  :meth:`VectorizedChipEngine.run_batch_reference` keeps the
+``timesteps × layers × tiles`` loop over float64 conductances alive as the
+parity oracle the property suite checks the kernel against; like the
 structural chip, it also runs analog trains.
 """
 
@@ -105,16 +119,6 @@ def _nonzero_chunk_counts(bits: np.ndarray, chunk_bits: int) -> np.ndarray:
     return padded.reshape(batch, n_chunks, chunk_bits).any(axis=2).sum(axis=1)
 
 
-def _write_input(spikes: np.ndarray, x: np.ndarray, voltage: float) -> None:
-    """Write 0/1 spikes as a layer's input: as they are into a hidden
-    layer's float32 buffer, as the read voltage ``spikes * V_read`` into the
-    output layer's float64 one."""
-    if x.dtype == np.float32:
-        np.copyto(x, spikes)
-    else:
-        np.multiply(spikes, voltage, out=x)
-
-
 class VectorizedChipEngine:
     """Executes an entire encoded batch through a compiled chip."""
 
@@ -132,9 +136,8 @@ class VectorizedChipEngine:
         """Compile a structural chip and wrap it in an engine."""
         return cls(compile_chip(chip))
 
-    def _validate_train(self, spike_train: np.ndarray) -> np.ndarray:
+    def _validate_train(self, train: np.ndarray) -> np.ndarray:
         program = self.program
-        train = np.asarray(spike_train, dtype=float)
         if train.ndim != 3:
             raise ValueError(
                 f"spike_train must have shape (timesteps, batch, n_in), got {train.shape}"
@@ -158,18 +161,23 @@ class VectorizedChipEngine:
         engine's :attr:`arena`, grown first if the plan's chunk needs more
         rows.  Returns per-sample output spike counts and predictions plus
         the aggregate :class:`EventCounters` of the run (the same totals the
-        structural chip's components would have accumulated).  Raises
-        ``ValueError`` unless every value of the train is 0 or 1, as every
-        encoder emits: the hidden layers sum conductance levels over spikes.
-        Thread-safe: runs on one engine are serialized.
+        structural chip's components would have accumulated).  A ``bool``
+        train, as :meth:`repro.snn.encoding.EncoderState.encode` emits, runs
+        as it is; any other train is converted to ``bool`` once, and raises
+        ``ValueError`` unless every value is 0 or 1: the hidden layers sum
+        conductance levels over spikes.  Thread-safe: runs on one engine are
+        serialized.
         """
         program = self.program
-        train = self._validate_train(spike_train)
-        if ((train != 0.0) & (train != 1.0)).any():
-            raise ValueError(
-                "the vectorized backend runs binary (0/1) spike trains; "
-                "run analog trains through the structural backend"
-            )
+        train = self._validate_train(np.asarray(spike_train))
+        if train.dtype != bool:
+            spikes = train != 0
+            if not np.array_equal(train, spikes):
+                raise ValueError(
+                    "the vectorized backend runs binary (0/1) spike trains; "
+                    "run analog trains through the structural backend"
+                )
+            train = spikes
         timesteps, batch = train.shape[:2]
         if plan is None:
             plan = KernelPlan(program, batch, timesteps)
@@ -202,32 +210,27 @@ class VectorizedChipEngine:
         for start in range(0, timesteps, plan.chunk):
             steps = min(plan.chunk, timesteps - start)
             rows = steps * batch
-            chunk_in = train[start : start + steps].reshape(rows, n_in)
+            # The layer's input spikes: the train's, then each layer's output.
+            bits = train[start : start + steps].reshape(rows, n_in)
             if event_driven:
-                io_bus_words += arena.input_word_scratch.count_total(chunk_in)
-                live = arena.input_packet_scratch.count_total(chunk_in)
-            _write_input(chunk_in, arena.layer_input(0, rows)[:, :n_in], voltage)
+                io_bus_words += arena.input_word_scratch.count_total(bits)
+                live = arena.input_packet_scratch.count_total(bits)
             for index, layer in enumerate(layers):
                 fused = layer.fused
                 blocks = fused.row_blocks
                 n_blocks, g_rows, width = blocks.shape
-                x = arena.layer_input(index, rows)
-                # The last row block's padding: zero, though a wider layer
-                # sharing this buffer may have written there.  The active-row
-                # counts and the output layer's row-block slices read it.
-                x[:, layer.n_in :].fill(0.0)
                 if event_driven:
                     delivered = live * layer.destinations
                     switch_hops += delivered
                     suppressed_packets += (
                         rows * layer.input_packets * layer.destinations - delivered
                     )
-                # Read energy: active rows per (row, row block), priced by
-                # the row block's cost table.
-                nonzero = head(arena.nonzero, rows, n_blocks * g_rows)
-                np.not_equal(x, 0.0, out=nonzero)
+                # Read energy: active rows per (row, row block), summed over
+                # the spikes' bytes, priced by the row block's cost table.
                 active = head(arena.active, rows, n_blocks)
-                nonzero.reshape(rows, n_blocks, g_rows).sum(axis=2, out=active)
+                np.add.reduceat(
+                    bits.view(np.uint8), arena.row_starts[index], axis=1, out=active
+                )
                 crossbar_energy += float(
                     np.take_along_axis(fused.read_cost, active.T, axis=1).sum()
                 )
@@ -237,20 +240,22 @@ class VectorizedChipEngine:
                     # rows multiply zero inputs, the padding columns feed no
                     # neuron): an integer sum, exact in float32, made a drive
                     # in float64.
+                    x = head(arena.inputs, rows, layer.n_in)
+                    np.copyto(x, bits)
                     sums = head(arena.sums, rows, layer.n_out)
-                    np.matmul(
-                        x[:, : layer.n_in],
-                        fused.matrix[: layer.n_in, : layer.n_out],
-                        out=sums,
-                    )
+                    np.matmul(x, fused.matrix[: layer.n_in, : layer.n_out], out=sums)
                     drive = head(arena.drive, rows, layer.n_out)
                     np.multiply(sums, fused.unit, out=drive, dtype=np.float64)
                 else:
                     # The output layer's membrane breaks prediction ties, so
-                    # its row blocks accumulate in placement order, and each
-                    # partial sum goes from currents to weighted sums (* scale,
-                    # then / lsb) in two passes as CrossbarArray.evaluate
-                    # rounds them.
+                    # its row blocks read ``spikes × V_read`` in float64 and
+                    # accumulate in placement order, and each partial sum
+                    # goes from currents to weighted sums (* scale, then
+                    # / lsb) in two passes as CrossbarArray.evaluate rounds
+                    # them.
+                    x = head(arena.output_input, rows, n_blocks * g_rows)
+                    np.multiply(bits, voltage, out=x[:, : layer.n_in])
+                    x[:, layer.n_in :].fill(0.0)
                     drive = head(arena.drive, rows, width)
                     partial = head(arena.partial, rows, width)
                     drive.fill(0.0)
@@ -259,9 +264,11 @@ class VectorizedChipEngine:
                         np.multiply(partial, fused.scale, out=partial)
                         np.divide(partial, lsb, out=partial)
                         np.add(drive, partial, out=drive)
-                # The IF update, one timestep of the chunk at a time.  The
-                # reset subtracts fired * threshold from every neuron, which
-                # leaves the unfired ones exact (m - 0.0 == m).
+                # The IF update, one timestep of the chunk at a time, into
+                # the spike buffer the layer's input (read in full above)
+                # may share.  The reset subtracts fired * threshold from
+                # every neuron, which leaves the unfired ones exact
+                # (m - 0.0 == m).
                 membrane = plan.layers[index].membrane
                 spikes = head(arena.spikes, rows, layer.n_out)
                 reset = head(arena.partial, batch, layer.n_out)
@@ -276,8 +283,7 @@ class VectorizedChipEngine:
                 if index < last_index:
                     if event_driven:
                         live = arena.packet_scratch[index].count_total(spikes)
-                    next_input = arena.layer_input(index + 1, rows)
-                    _write_input(spikes, next_input[:, : layer.n_out], voltage)
+                    bits = spikes
                 else:
                     plan.spike_counts += spikes.reshape(steps, batch, -1).sum(axis=0)
 
@@ -343,7 +349,7 @@ class VectorizedChipEngine:
         structural chip does.
         """
         program = self.program
-        train = self._validate_train(spike_train)
+        train = self._validate_train(np.asarray(spike_train, dtype=float))
         timesteps, batch, _n_in = train.shape
         # The tiles' float64 conductances, looked up once per run.
         conductances = [

@@ -6,13 +6,14 @@ chunk — ``chunk × batch``, about :data:`CHUNK_ROWS` — rather than by the
 whole spike train.  They split by what they depend on:
 
 * a :class:`KernelArena` holds the scratch, which every chunk writes before
-  it reads: two ping-pong zero-padded float32 inputs of the hidden layers
-  and the output layer's float64 one, the hidden layers' float32 level
-  sums, one drive, one partial sum (the output layer's row-block products,
-  and the ``fired × threshold`` reset of the IF replay), the nonzero mask,
-  the active-row counts, the chunk's spikes, and the event-driven
-  chunk-count scratch of the input train and of each layer's output.  One
-  scratch set serves every layer in turn, and every execution shape: each
+  it reads: the ``bool`` spikes a layer writes and the next one reads, a
+  hidden layer's float32 copy of its input spikes and its float32 level
+  sums, the output layer's zero-padded float64 input ``spikes × V_read``,
+  one drive, one partial sum (the output layer's row-block products, and
+  the ``fired × threshold`` reset of the IF replay), the active-row counts,
+  and the event-driven chunk-count scratch of the input train and of each
+  layer's output.  One scratch set serves every layer in turn, and every
+  execution shape: each
   :class:`~repro.fastpath.engine.VectorizedChipEngine` owns one arena, sized
   by the tallest chunk it has run, which grows when a plan needs more rows
   and never shrinks;
@@ -63,11 +64,10 @@ class ChunkCountScratch:
     """Preallocated buffers for nonzero-chunk counting (integer-exact).
 
     Gives the total of :func:`repro.fastpath.engine._nonzero_chunk_counts`
-    over the rows of ``values``: the ``chunk_bits``-wide chunks holding any
-    value ``> 0``, the last chunk of a row possibly shorter.  Bool values
-    (spikes) are read as bytes and OR-reduced from each chunk's first
-    column, which needs no padding and works at any chunk width; other
-    values are thresholded into a bool buffer first.  A call counts up to
+    over the rows of a ``bool`` spike matrix: the ``chunk_bits``-wide chunks
+    holding any spike, the last chunk of a row possibly shorter.  The spikes
+    are read as bytes and OR-reduced from each chunk's first column, which
+    needs no padding and works at any chunk width.  A call counts up to
     ``rows`` rows (a short last chunk uses the leading ones).
     """
 
@@ -77,18 +77,14 @@ class ChunkCountScratch:
         self.chunk_bits = chunk_bits
         self._starts = np.arange(0, n, chunk_bits)
         self.n_chunks = len(self._starts)
-        self._bits = np.zeros((rows, n), dtype=bool)
         self._any = np.zeros((rows, self.n_chunks), dtype=np.uint8)
 
-    def count_total(self, values: np.ndarray) -> int:
-        """Total nonzero-chunk count over all rows of ``values``."""
+    def count_total(self, spikes: np.ndarray) -> int:
+        """Total nonzero-chunk count over all rows of ``bool`` ``spikes``."""
         if self.n_chunks == 0:
             return 0
-        rows = values.shape[0]
-        if values.dtype != bool:
-            values = np.greater(values, 0, out=self._bits[:rows])
-        reduced = self._any[:rows]
-        np.bitwise_or.reduceat(values.view(np.uint8), self._starts, axis=1, out=reduced)
+        reduced = self._any[: spikes.shape[0]]
+        np.bitwise_or.reduceat(spikes.view(np.uint8), self._starts, axis=1, out=reduced)
         return int(np.count_nonzero(reduced))
 
 
@@ -105,35 +101,44 @@ def head(flat: np.ndarray, rows: int, width: int) -> np.ndarray:
 class KernelArena:
     """The scratch of one engine, for chunks of up to ``rows`` rows.
 
-    The buffers are flat; the engine views them per layer through
-    :func:`head` and :meth:`layer_input`.  Each chunk writes a buffer before
-    reading it, so any plan whose :attr:`KernelPlan.rows` fit runs on the
-    arena, whatever shape ran before it.
+    Spikes stay ``bool`` from layer to layer in :attr:`spikes`: a layer reads
+    its input spikes in full (active-row counts, the GEMM operand) before it
+    writes its output spikes over them, so one spike buffer serves every
+    layer.  The buffers are flat; the engine views them per layer through
+    :func:`head`.  Each chunk writes a buffer before reading it, so any plan
+    whose :attr:`KernelPlan.rows` fit runs on the arena, whatever shape ran
+    before it.
     """
 
     def __init__(self, program: CompiledChip, rows: int):
         self.rows = rows
         grids = [layer.fused.row_blocks.shape for layer in program.layers]
-        self._input_widths = [n_blocks * g_rows for n_blocks, g_rows, _ in grids]
         max_blocks = max(n_blocks for n_blocks, _, _ in grids)
         max_out = max(layer.n_out for layer in program.layers)
         out_size = rows * max(width for _, _, width in grids)
-        #: Zero-padded inputs of the hidden layers, 0/1 spikes in float32,
-        #: and of the output layer, ``spikes * V_read`` in float64; see
-        #: :meth:`layer_input`.
-        self.spike_inputs = np.zeros(
-            (2, rows * max(self._input_widths[:-1], default=0)), dtype=np.float32
+        #: Where each layer's input splits into row blocks: the active-row
+        #: counts sum the spikes between these columns.
+        self.row_starts = [
+            np.arange(0, layer.n_in, g_rows)
+            for layer, (_, g_rows, _) in zip(program.layers, grids)
+        ]
+        #: A hidden layer's 0/1 input spikes in float32, its GEMM operand.
+        self.inputs = np.zeros(
+            rows * max((layer.n_in for layer in program.layers[:-1]), default=0),
+            dtype=np.float32,
         )
-        self.output_input = np.zeros(rows * self._input_widths[-1])
+        #: The output layer's zero-padded input ``spikes * V_read``, float64.
+        n_blocks, g_rows, _ = grids[-1]
+        self.output_input = np.zeros(rows * n_blocks * g_rows)
         #: A hidden layer's integer level sums.
         self.sums = np.zeros(
             rows * max((layer.n_out for layer in program.layers[:-1]), default=0),
             dtype=np.float32,
         )
-        self.nonzero = np.zeros(rows * max(self._input_widths), dtype=bool)
         self.active = np.zeros(rows * max_blocks, dtype=np.int64)
         self.partial = np.zeros(out_size)
         self.drive = np.zeros(out_size)
+        #: A layer's output spikes, which the next layer reads as its input.
         self.spikes = np.zeros(rows * max_out, dtype=bool)
         # Event-driven bookkeeping, counted per chunk: the input train, and
         # each layer's *output* spikes — word chunks when the output crosses
@@ -157,18 +162,6 @@ class KernelArena:
                     self.packet_scratch[index] = ChunkCountScratch(
                         rows, layer.n_out, program.packet_bits
                     )
-
-    def layer_input(self, index: int, rows: int) -> np.ndarray:
-        """Layer ``index``'s zero-padded input, ``(rows, R·g_rows)``.
-
-        Hidden layers alternate between the two float32 spike buffers, so
-        layer ``index`` writes layer ``index + 1``'s input while reading its
-        own; the output layer reads the float64 one.
-        """
-        width = self._input_widths[index]
-        if index == len(self._input_widths) - 1:
-            return head(self.output_input, rows, width)
-        return head(self.spike_inputs[index % 2], rows, width)
 
 
 class _LayerState:

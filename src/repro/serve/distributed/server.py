@@ -965,54 +965,69 @@ class ChipServer:
         # The loop is published LAST: start() returns (and close() may run)
         # as soon as it appears, and close() needs the stop event with it.
         self._loop = asyncio.get_running_loop()
-        connections: set[asyncio.Task] = set()
+        # Every accepted connection's handler task, with its writer.
+        connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
-        async def handle(reader, writer) -> None:
-            task = asyncio.current_task()
-            connections.add(task)
-            try:
-                await self._handle_client(reader, writer)
-            except asyncio.CancelledError:
-                # Server shutdown hung up on this client mid-connection;
-                # finish cleanly so asyncio's stream machinery (which calls
-                # task.exception() from a plain callback) sees a completed
-                # task, not a cancelled one.
-                pass
-            finally:
-                connections.discard(task)
+        def accept(handler):
+            def on_connect(reader, writer) -> None:
+                # A plain callback runs inside the transport's
+                # connection_made, so the connection is registered before
+                # its handler takes a step, and a stop can hang up on it
+                # even if the handler never runs.
+                task = asyncio.create_task(handler(reader, writer))
+                connections[task] = writer
+                task.add_done_callback(connections.pop)
+
+            return on_connect
 
         dispatcher = asyncio.create_task(self._batch_loop())
         # The stream-reader limit is the frame cap: with the 64 KiB default,
         # readexactly pauses and resumes the transport over and over while a
         # multi-megabyte frame arrives.
-        server = await asyncio.start_server(
-            handle, sock=self._sock, limit=MAX_FRAME_BYTES
-        )
-        metrics_server = None
+        servers = [
+            await asyncio.start_server(
+                accept(self._handle_client), sock=self._sock, limit=MAX_FRAME_BYTES
+            )
+        ]
         if self._metrics_sock is not None:
-            metrics_server = await asyncio.start_server(
-                self._handle_metrics_http, sock=self._metrics_sock
+            servers.append(
+                await asyncio.start_server(
+                    accept(self._handle_metrics_http), sock=self._metrics_sock
+                )
             )
         try:
             await self._stop_event.wait()
         finally:
-            if metrics_server is not None:
-                metrics_server.close()
-                with contextlib.suppress(Exception):
-                    await metrics_server.wait_closed()
             dispatcher.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await dispatcher
-            # Hang up on lingering clients: on newer Pythons wait_closed()
-            # waits for every handler, and a connected-but-idle client must
-            # not stall the shutdown.
-            for task in list(connections):
+            # Stop accepting, but keep the servers open until the accepts
+            # already made reach on_connect: asyncio attaches each new
+            # transport to its server (asserting the server is still open)
+            # one loop iteration after the accept, and calls
+            # connection_made one iteration after that.
+            for server in servers:
+                for sock in server.sockets:
+                    self._loop.remove_reader(sock)
+            for _ in range(2):
+                await asyncio.sleep(0)
+            for server in servers:
+                server.close()
+            # Hang up on every client, handlers that never ran included: an
+            # idle connection must not stall the shutdown, and on newer
+            # Pythons wait_closed() waits for every connection.
+            hung_up = list(connections.items())
+            for task, writer in hung_up:
                 task.cancel()
-            if connections:
-                await asyncio.gather(*connections, return_exceptions=True)
-            server.close()
-            with contextlib.suppress(Exception):
-                await server.wait_closed()
+                writer.close()
+            await asyncio.gather(
+                *(task for task, _ in hung_up),
+                *(writer.wait_closed() for _, writer in hung_up),
+                return_exceptions=True,
+            )
+            for server in servers:
+                with contextlib.suppress(Exception):
+                    await server.wait_closed()
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`close` or a shutdown op."""

@@ -102,14 +102,18 @@ class DeterministicRateEncoder:
         if timesteps <= 0:
             raise ValueError(f"timesteps must be positive, got {timesteps}")
         x = np.clip(np.asarray(values, dtype=float), 0.0, 1.0) * self.max_rate
-        accumulator = np.zeros_like(x)
-        spikes = np.zeros((timesteps,) + x.shape, dtype=float)
-        for t in range(timesteps):
-            accumulator += x
-            fired = accumulator >= 1.0
-            spikes[t] = fired.astype(float)
-            accumulator -= fired.astype(float)
-        return spikes
+        return _diffuse(x, timesteps).astype(float)
+
+
+def _diffuse(rates: np.ndarray, timesteps: int) -> np.ndarray:
+    """The error-diffusion spikes of per-step ``rates``, bool ``(timesteps, ...)``."""
+    accumulator = np.zeros_like(rates)
+    spikes = np.empty((timesteps,) + rates.shape, dtype=bool)
+    for t in range(timesteps):
+        accumulator += rates
+        np.greater_equal(accumulator, 1.0, out=spikes[t])
+        accumulator -= spikes[t]
+    return spikes
 
 
 @dataclass(frozen=True)
@@ -160,25 +164,34 @@ class EncoderState:
         return replace(self, sample_offset=self.sample_offset + start)
 
     def encode(self, values: np.ndarray, timesteps: int) -> np.ndarray:
-        """Encode a ``(batch, ...)`` intensity array into ``(timesteps, batch, ...)``.
+        """Encode a ``(batch, ...)`` intensity array into a ``bool``
+        ``(timesteps, batch, ...)`` spike train.
 
         Every sample is encoded from its own derived generator, so the output
         for sample ``i`` depends only on ``(seed, sample_offset + i)`` — not
-        on the batch it happens to share a request with.
+        on the batch it happens to share a request with.  The spikes are
+        those of the stock encoders at the state's ``max_rate``, one
+        ``bool`` byte each, which the vectorized kernel reads as they are:
+        sample ``i`` of the Poisson kind is ``PoissonEncoder(rng=derive_rng(
+        seed, "encoder", sample_offset + i)).encode(values[i], timesteps) !=
+        0``, and the deterministic kind gives
+        ``DeterministicRateEncoder().encode(values, timesteps) != 0``.
         """
         if timesteps <= 0:
             raise ValueError(f"timesteps must be positive, got {timesteps}")
         x = np.atleast_2d(np.asarray(values, dtype=float))
+        rates = np.clip(x, 0.0, 1.0) * self.max_rate
         if self.kind == "deterministic":
             # Error diffusion is elementwise per sample: slicing commutes
             # with encoding, so no per-sample generators are needed.
-            return DeterministicRateEncoder(max_rate=self.max_rate).encode(x, timesteps)
-        spikes = np.empty((timesteps,) + x.shape, dtype=float)
+            return _diffuse(rates, timesteps)
+        spikes = np.empty((timesteps,) + x.shape, dtype=bool)
+        # One sample's draws at a time, in the order PoissonEncoder draws
+        # them, compared straight into the train.
+        draws = np.empty((timesteps,) + x.shape[1:])
         for i in range(x.shape[0]):
-            rng = derive_rng(self.seed, "encoder", self.sample_offset + i)
-            spikes[:, i] = PoissonEncoder(rng=rng, max_rate=self.max_rate).encode(
-                x[i], timesteps
-            )
+            derive_rng(self.seed, "encoder", self.sample_offset + i).random(out=draws)
+            np.less(draws, rates[i], out=spikes[:, i])
         return spikes
 
     def to_dict(self) -> dict[str, object]:

@@ -185,18 +185,15 @@ class TestChunkCountScratch:
     )
     def test_count_total_matches_reference(self, n, chunk_bits, capacity, data):
         """One scratch, reused across calls with different row counts and
-        bool or fractional values, counts what the per-sample loop counts."""
+        densities of bool spikes, counts what the per-sample loop counts."""
         scratch = ChunkCountScratch(capacity, n, chunk_bits)
         for _ in range(data.draw(st.integers(min_value=1, max_value=4), label="calls")):
             rows = data.draw(st.integers(min_value=1, max_value=capacity), label="rows")
             density = data.draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]), label="density")
             rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
-            values = rng.random((rows, n)) - 0.25
-            values[rng.random((rows, n)) >= density] = 0.0
-            if data.draw(st.booleans(), label="bool"):
-                values = values > 0
-            expected = int(_nonzero_chunk_counts(values, chunk_bits).sum())
-            assert scratch.count_total(values) == expected
+            spikes = rng.random((rows, n)) < density
+            expected = int(_nonzero_chunk_counts(spikes, chunk_bits).sum())
+            assert scratch.count_total(spikes) == expected
 
 
 class TestFusedKernelDeterministic:
@@ -228,6 +225,31 @@ class TestFusedKernelDeterministic:
         np.testing.assert_array_equal(reused.predictions, fresh.predictions)
         np.testing.assert_array_equal(reused.spike_counts, fresh.spike_counts)
         assert reused.counters.as_dict() == fresh.counters.as_dict()
+
+    @pytest.mark.parametrize("event_driven", [True, False])
+    def test_bool_and_float_trains_run_alike(self, event_driven):
+        """A ``bool`` train runs as it is, and a float64 0/1 train is
+        converted to one at entry: the two give the same predictions, spike
+        counts, counters and final membranes, and both match the reference.
+        On 12-row crossbars the row blocks start at 0, 12, 24 and 36, not
+        at multiples of 8 as on the property suite's 8- and 16-row ones."""
+        engine = _engine((40, 27, 14, 6), crossbar=12, event_driven=event_driven)
+        rng = np.random.default_rng(12)
+        batch, timesteps = CHUNK_ROWS // 5, 11  # chunks of 5, 5 and 1 timesteps
+        bits = rng.random((timesteps, batch, 40)) < 0.4
+        outcomes, membranes = [], []
+        for train in (bits, bits.astype(float)):
+            plan = KernelPlan(engine.program, batch, timesteps)
+            outcomes.append(engine.run_batch(train, plan=plan))
+            membranes.append([state.membrane.copy() for state in plan.layers])
+        reference = engine.run_batch_reference(bits)
+        for outcome in outcomes:
+            _assert_bit_identical(reference, outcome)
+        np.testing.assert_array_equal(outcomes[0].predictions, outcomes[1].predictions)
+        np.testing.assert_array_equal(outcomes[0].spike_counts, outcomes[1].spike_counts)
+        assert outcomes[0].counters.as_dict() == outcomes[1].counters.as_dict()
+        for from_bits, from_floats in zip(*membranes, strict=True):
+            np.testing.assert_array_equal(from_bits, from_floats)
 
     def test_tiles_are_views_of_the_layer_grid(self):
         """The program holds each grid once, read-only: signed levels as

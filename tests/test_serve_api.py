@@ -23,6 +23,8 @@ from repro.energy.model import EnergyReport
 from repro.serve import ChipPool, ChipSession, InferenceRequest, InferenceResponse
 from repro.serve.metrics import MetricsRegistry
 from repro.snn import Dense, EncoderState, Network, convert_to_snn
+from repro.snn.encoding import DeterministicRateEncoder, PoissonEncoder
+from repro.utils.rng import derive_rng
 
 ENERGY_RTOL = 1e-9
 
@@ -370,6 +372,31 @@ class TestEncoderState:
         full = state.encode(values, timesteps=8)
         part = state.shard(4).encode(values[4:9], timesteps=8)
         np.testing.assert_array_equal(part, full[:, 4:9])
+
+    @pytest.mark.parametrize("offset", [0, 3])
+    @pytest.mark.parametrize("kind", ["poisson", "deterministic"])
+    def test_encode_emits_the_stock_encoders_spikes_as_bool(self, kind, offset):
+        """One byte per spike, and the very spikes of the stock encoders:
+        sample ``i`` of a Poisson state is its derived generator's train."""
+        state = EncoderState(kind=kind, seed=13, max_rate=0.8, sample_offset=offset)
+        values = np.random.default_rng(2).random((5, 7))
+        values[0, :3] = (-0.5, 0.0, 1.5)  # clipped into [0, 1]
+        train = state.encode(values, timesteps=9)
+        assert train.dtype == bool and train.shape == (9, 5, 7)
+        if kind == "deterministic":
+            expected = DeterministicRateEncoder(max_rate=0.8).encode(values, 9) != 0
+        else:
+            expected = np.stack(
+                [
+                    PoissonEncoder(
+                        rng=derive_rng(13, "encoder", offset + i), max_rate=0.8
+                    ).encode(values[i], 9)
+                    != 0
+                    for i in range(5)
+                ],
+                axis=1,
+            )
+        np.testing.assert_array_equal(train, expected)
 
     def test_deterministic_kind_is_offset_invariant(self):
         state = EncoderState(kind="deterministic", seed=0)
